@@ -1,9 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the library's hot paths: the
- * analytic solver, the model fitter, cache lookups, the DRAM channel,
- * and end-to-end simulation throughput (instructions simulated per
- * second of host time).
+ * analytic solver, the serve request stages (parse, probe, solve,
+ * serialize), the model fitter, cache lookups, the DRAM channel, and
+ * end-to-end simulation throughput (instructions simulated per second
+ * of host time).
  */
 
 #include <benchmark/benchmark.h>
@@ -19,6 +20,7 @@
 #include "util/thread_pool.hh"
 #include "model/memsense.hh"
 #include "serve/evaluator.hh"
+#include "serve/request.hh"
 #include "sim/machine.hh"
 #include "stats/regression.hh"
 #include "util/log.hh"
@@ -132,6 +134,40 @@ BM_EvaluatorCacheHit(benchmark::State &state)
         benchmark::DoNotOptimize(eval.solve(bd, base));
 }
 BENCHMARK(BM_EvaluatorCacheHit)->Apply(applyRepetitions);
+
+/**
+ * Parse stage of a served request: one design-space sweep point as
+ * clients send it (class preset plus all five platform fields).
+ */
+void
+BM_ParseRequestLine(benchmark::State &state)
+{
+    const std::string line =
+        "{\"id\":\"c1024\",\"workload\":{\"class\":\"bigdata\"},"
+        "\"platform\":{\"latency_ns\":82.5,\"speed_mts\":1866.7,"
+        "\"ghz\":2.7,\"channels\":4,\"cores\":8}}";
+    std::size_t n = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(serve::parseRequestLine(line, ++n));
+    }
+}
+BENCHMARK(BM_ParseRequestLine)->Apply(applyRepetitions);
+
+/** Serialize stage: one ok reply line (six "%.17g" doubles). */
+void
+BM_ResultLine(benchmark::State &state)
+{
+    serve::EvalOutcome outcome;
+    outcome.id = "c1024";
+    outcome.result.attempts = 1;
+    outcome.result.value.emplace(model::Solver().solve(
+        model::paper::classParams(model::WorkloadClass::BigData),
+        model::Platform::paperBaseline()));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(serve::resultLine(outcome));
+    }
+}
+BENCHMARK(BM_ResultLine)->Apply(applyRepetitions);
 
 void
 BM_EquivalenceSummary(benchmark::State &state)

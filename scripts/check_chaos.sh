@@ -149,6 +149,13 @@ run_scenario deadlines "seed=11;server.solve:delay=25:p=0.4" \
 SERVER_FLAGS=(--workers 1 --max-queue 4 --allow-stale)
 run_scenario degraded "seed=7;server.solve:delay=20:p=0.5"
 
+# Filling the stale cache is best effort: a fault there, on the
+# single-job and the batched solve path alike, must cost neither a
+# second reply (ledger) nor a worker thread (clean exit on SIGTERM).
+SERVER_FLAGS=(--workers 1 --max-queue 4 --allow-stale)
+run_scenario degraded-store-fault \
+    "seed=7;server.solve:delay=20:p=0.5;server.stale_store:throw:p=0.5"
+
 # --- Batching x quota matrix -------------------------------------------
 
 # Fault sites with batching on: server.batch fires between batch

@@ -104,7 +104,10 @@ classParams()
 WorkloadParams
 classParams(WorkloadClass cls)
 {
-    for (const auto &p : classParams()) {
+    // Every serve request starts from a class preset: build and
+    // validate Table 6 once, not per call.
+    static const std::vector<WorkloadParams> table = classParams();
+    for (const auto &p : table) {
         if (p.cls == cls)
             return p;
     }

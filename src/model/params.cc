@@ -36,15 +36,22 @@ WorkloadParams::refsPerCycle() const
 void
 WorkloadParams::validate() const
 {
-    requireConfig(cpiCache > 0.0, name + ": CPI_cache must be positive");
-    requireConfig(bf >= 0.0 && bf <= 1.0,
-                  name + ": blocking factor must be in [0, 1]");
-    requireConfig(mpki >= 0.0, name + ": MPKI must be non-negative");
-    requireConfig(wbr >= 0.0 && wbr <= 2.0,
-                  name + ": WBR must be in [0, 2] (non-temporal stores can "
-                         "push it above 1, but not above 2)");
-    requireConfig(iopi >= 0.0, name + ": IOPI must be non-negative");
-    requireConfig(ioBytes >= 0.0, name + ": IOSZ must be non-negative");
+    // Every solve passes through here, so the messages (which carry
+    // the workload name) are built only on the failing branch.
+    if (!(cpiCache > 0.0))
+        throw ConfigError(name + ": CPI_cache must be positive");
+    if (!(bf >= 0.0 && bf <= 1.0))
+        throw ConfigError(name + ": blocking factor must be in [0, 1]");
+    if (!(mpki >= 0.0))
+        throw ConfigError(name + ": MPKI must be non-negative");
+    if (!(wbr >= 0.0 && wbr <= 2.0))
+        throw ConfigError(name + ": WBR must be in [0, 2] (non-temporal "
+                                 "stores can push it above 1, but not "
+                                 "above 2)");
+    if (!(iopi >= 0.0))
+        throw ConfigError(name + ": IOPI must be non-negative");
+    if (!(ioBytes >= 0.0))
+        throw ConfigError(name + ": IOSZ must be non-negative");
 }
 
 WorkloadParams

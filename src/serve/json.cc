@@ -1,9 +1,11 @@
 #include "serve/json.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/contract.hh"
 #include "util/error.hh"
 #include "util/fault_injection.hh"
 
@@ -304,12 +306,24 @@ class Parser
                 in[pos] == 'e' || in[pos] == 'E' || in[pos] == '+' ||
                 in[pos] == '-'))
             ++pos;
-        std::string word(in.substr(start, pos - start));
-        char *end = nullptr;
-        double v = std::strtod(word.c_str(), &end);
-        if (end != word.c_str() + word.size() || !std::isfinite(v)) {
-            pos = start;
-            fail("malformed number '" + word + "'");
+        const std::string_view text = in.substr(start, pos - start);
+        // Fast path: from_chars accepts the same digit grammar as
+        // strtod over this alphabet and rounds correctly, as strtod
+        // does, so a whole-word success is strtod's value. Anything
+        // else (a malformed word, overflow, underflow) takes strtod,
+        // whose verdict and error text stay the reference.
+        double v = 0.0;
+        const std::from_chars_result r =
+            std::from_chars(text.data(), text.data() + text.size(), v);
+        if (r.ec != std::errc() || r.ptr != text.data() + text.size() ||
+            !std::isfinite(v)) {
+            std::string word(text);
+            char *end = nullptr;
+            v = std::strtod(word.c_str(), &end);
+            if (end != word.c_str() + word.size() || !std::isfinite(v)) {
+                pos = start;
+                fail("malformed number '" + word + "'");
+            }
         }
         JsonValue out;
         out.kind = JsonValue::Kind::Number;
@@ -326,7 +340,7 @@ class Parser
 } // anonymous namespace
 
 bool
-JsonValue::has(const std::string &key) const
+JsonValue::has(std::string_view key) const
 {
     if (kind != Kind::Object)
         return false;
@@ -338,43 +352,45 @@ JsonValue::has(const std::string &key) const
 }
 
 const JsonValue &
-JsonValue::at(const std::string &key) const
+JsonValue::at(std::string_view key) const
 {
-    requireConfig(kind == Kind::Object,
-                  "JSON value is not an object (looking up '" + key +
-                      "')");
+    if (kind != Kind::Object)
+        throw ConfigError("JSON value is not an object (looking up '" +
+                          std::string(key) + "')");
     for (const auto &m : members) {
         if (m.first == key)
             return m.second;
     }
-    throw ConfigError("missing JSON member '" + key + "'");
+    throw ConfigError("missing JSON member '" + std::string(key) + "'");
 }
 
 double
-JsonValue::asNumber(const std::string &what) const
+JsonValue::asNumber(std::string_view what) const
 {
-    requireConfig(kind == Kind::Number, what + " must be a number");
+    if (kind != Kind::Number)
+        throw ConfigError(std::string(what) + " must be a number");
     return number;
 }
 
 const std::string &
-JsonValue::asString(const std::string &what) const
+JsonValue::asString(std::string_view what) const
 {
-    requireConfig(kind == Kind::String, what + " must be a string");
+    if (kind != Kind::String)
+        throw ConfigError(std::string(what) + " must be a string");
     return text;
 }
 
 int
-JsonValue::asInt(const std::string &what) const
+JsonValue::asInt(std::string_view what) const
 {
     double v = asNumber(what);
-    requireConfig(v >= -2147483648.0 && v <= 2147483647.0,
-                  what + " is out of integer range");
+    if (!(v >= -2147483648.0 && v <= 2147483647.0))
+        throw ConfigError(std::string(what) + " is out of integer range");
     // memsense-lint: allow(unclamped-double-to-int): range-checked above
     int i = static_cast<int>(v);
     // memsense-lint: allow(float-equal): exact integrality check
-    requireConfig(static_cast<double>(i) == v,
-                  what + " must be a whole number");
+    if (static_cast<double>(i) != v)
+        throw ConfigError(std::string(what) + " must be a whole number");
     return i;
 }
 
@@ -388,11 +404,9 @@ parseJson(std::string_view text, const JsonLimits &limits)
     return Parser(text, limits).parseDocument();
 }
 
-std::string
-jsonEscape(std::string_view s)
+void
+appendJsonEscaped(std::string &out, std::string_view s)
 {
-    std::string out;
-    out.reserve(s.size());
     for (char c : s) {
         switch (c) {
         case '"': out += "\\\""; break;
@@ -412,15 +426,34 @@ jsonEscape(std::string_view s)
             }
         }
     }
+}
+
+std::string
+jsonEscape(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size());
+    appendJsonEscaped(out, s);
     return out;
+}
+
+void
+appendJsonNumber(std::string &out, double v)
+{
+    // "%.17g" is at most 24 characters ("-1.2345678901234567e-308").
+    char buf[32];
+    const std::to_chars_result r = std::to_chars(
+        buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+    MS_ENSURE(r.ec == std::errc(), "to_chars overflowed its buffer");
+    out.append(buf, r.ptr);
 }
 
 std::string
 jsonNumber(double v)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    std::string out;
+    appendJsonNumber(out, v);
+    return out;
 }
 
 } // namespace memsense::serve

@@ -81,20 +81,24 @@ struct JsonValue
     std::vector<std::pair<std::string, JsonValue>> members; ///< Object
     std::vector<JsonValue> items;                           ///< Array
 
+    // The accessors take views and build their error text only when
+    // they throw: the request parser calls them with literals on every
+    // line it serves.
+
     /** True when this is an object with member @p key. */
-    bool has(const std::string &key) const;
+    bool has(std::string_view key) const;
 
     /** Member @p key; throws ConfigError when absent or not an object. */
-    const JsonValue &at(const std::string &key) const;
+    const JsonValue &at(std::string_view key) const;
 
     /** Number value; throws ConfigError on kind mismatch. */
-    double asNumber(const std::string &what) const;
+    double asNumber(std::string_view what) const;
 
     /** String value; throws ConfigError on kind mismatch. */
-    const std::string &asString(const std::string &what) const;
+    const std::string &asString(std::string_view what) const;
 
     /** Integer value; throws ConfigError when not a whole number. */
-    int asInt(const std::string &what) const;
+    int asInt(std::string_view what) const;
 };
 
 /**
@@ -106,10 +110,20 @@ JsonValue parseJson(std::string_view text, const JsonLimits &limits = {});
 /** Escape @p s for embedding inside a JSON string literal. */
 std::string jsonEscape(std::string_view s);
 
+/** Append jsonEscape(@p s) to @p out without a temporary string. */
+void appendJsonEscaped(std::string &out, std::string_view s);
+
 /**
- * Shortest decimal form of @p v that round-trips to the same bits
- * ("%.17g"), for byte-stable result serialization.
+ * Append @p v to @p out exactly as printf("%.17g") renders it in the C
+ * locale: always 17 significant digits (trailing zeros dropped, so not
+ * the shortest form), which round-trips every double to the same bits
+ * and keeps result streams byte-stable. Implemented with
+ * std::to_chars(general, 17), which the standard defines as that
+ * printf conversion, so it allocates nothing beyond @p out's growth.
  */
+void appendJsonNumber(std::string &out, double v);
+
+/** appendJsonNumber into a fresh string. */
 std::string jsonNumber(double v);
 
 } // namespace memsense::serve

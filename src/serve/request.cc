@@ -75,15 +75,24 @@ platformFrom(const JsonValue &v)
     return plat;
 }
 
-std::string
-errorJson(const std::string &type, const std::string &message,
-          bool fatal, int attempts)
+void
+appendErrorJson(std::string &out, const std::string &type,
+                const std::string &message, bool fatal, int attempts)
 {
-    return "{\"type\":\"" + jsonEscape(type) + "\",\"message\":\"" +
-           jsonEscape(message) + "\",\"fatal\":" +
-           (fatal ? "true" : "false") +
-           ",\"attempts\":" + std::to_string(attempts) + "}";
+    out += "{\"type\":\"";
+    appendJsonEscaped(out, type);
+    out += "\",\"message\":\"";
+    appendJsonEscaped(out, message);
+    out += "\",\"fatal\":";
+    out += fatal ? "true" : "false";
+    out += ",\"attempts\":";
+    out += std::to_string(attempts);
+    out += '}';
 }
+
+/** Reserve for an ok reply's fixed text plus six "%.17g" numbers (at
+ *  most 24 characters each), so serializing one is one allocation. */
+constexpr std::size_t kOkReplyReserve = 384;
 
 } // anonymous namespace
 
@@ -94,8 +103,10 @@ parseRequestLine(const std::string &line, std::size_t line_number)
     requireConfig(v.kind == JsonValue::Kind::Object,
                   "request line must be a JSON object");
     EvalRequest req;
-    req.id = v.has("id") ? v.at("id").asString("id")
-                         : "line-" + std::to_string(line_number);
+    if (v.has("id"))
+        req.id = v.at("id").asString("id");
+    else
+        req.id = "line-" + std::to_string(line_number);
     if (v.has("workload"))
         req.workload = workloadFrom(v.at("workload"));
     else
@@ -120,27 +131,38 @@ parseRequestLine(const std::string &line, std::size_t line_number)
 std::string
 resultLine(const EvalOutcome &outcome)
 {
-    std::string out = "{\"id\":\"" + jsonEscape(outcome.id) + "\",";
+    std::string out;
+    out.reserve(kOkReplyReserve + outcome.id.size());
+    out += "{\"id\":\"";
+    appendJsonEscaped(out, outcome.id);
+    out += "\",";
     if (outcome.result.ok()) {
         const model::OperatingPoint &op = *outcome.result.value;
         if (outcome.degraded)
             out += "\"degraded\":true,";
-        out += "\"ok\":true,\"op\":{\"cpi_eff\":" +
-               jsonNumber(op.cpiEff) +
-               ",\"miss_penalty_ns\":" + jsonNumber(op.missPenaltyNs) +
-               ",\"queuing_delay_ns\":" +
-               jsonNumber(op.queuingDelayNs) + ",\"bw_per_core_bps\":" +
-               jsonNumber(op.bandwidthPerCoreBps) +
-               ",\"bw_total_bps\":" + jsonNumber(op.bandwidthTotalBps) +
-               ",\"utilization\":" + jsonNumber(op.utilization) +
-               ",\"bandwidth_bound\":" +
-               (op.bandwidthBound ? "true" : "false") +
-               ",\"iterations\":" + std::to_string(op.iterations) + "}}";
+        out += "\"ok\":true,\"op\":{\"cpi_eff\":";
+        appendJsonNumber(out, op.cpiEff);
+        out += ",\"miss_penalty_ns\":";
+        appendJsonNumber(out, op.missPenaltyNs);
+        out += ",\"queuing_delay_ns\":";
+        appendJsonNumber(out, op.queuingDelayNs);
+        out += ",\"bw_per_core_bps\":";
+        appendJsonNumber(out, op.bandwidthPerCoreBps);
+        out += ",\"bw_total_bps\":";
+        appendJsonNumber(out, op.bandwidthTotalBps);
+        out += ",\"utilization\":";
+        appendJsonNumber(out, op.utilization);
+        out += ",\"bandwidth_bound\":";
+        out += op.bandwidthBound ? "true" : "false";
+        out += ",\"iterations\":";
+        out += std::to_string(op.iterations);
+        out += "}}";
         return out;
     }
     const measure::FailureRecord &f = *outcome.result.failure;
-    out += "\"ok\":false,\"error\":" +
-           errorJson(f.errorType, f.message, f.fatal, f.attempts) + "}";
+    out += "\"ok\":false,\"error\":";
+    appendErrorJson(out, f.errorType, f.message, f.fatal, f.attempts);
+    out += '}';
     return out;
 }
 
@@ -154,17 +176,23 @@ std::string
 parseErrorLine(std::size_t line_number, const std::string &type,
                const std::string &message, bool fatal)
 {
-    return "{\"id\":\"line-" + std::to_string(line_number) +
-           "\",\"ok\":false,\"error\":" +
-           errorJson(type, message, fatal, 0) + "}";
+    std::string out = "{\"id\":\"line-" + std::to_string(line_number) +
+                      "\",\"ok\":false,\"error\":";
+    appendErrorJson(out, type, message, fatal, 0);
+    out += '}';
+    return out;
 }
 
 std::string
 errorReplyLine(const std::string &id, const std::string &type,
                const std::string &message, bool fatal)
 {
-    return "{\"id\":\"" + jsonEscape(id) + "\",\"ok\":false,\"error\":" +
-           errorJson(type, message, fatal, 0) + "}";
+    std::string out = "{\"id\":\"";
+    appendJsonEscaped(out, id);
+    out += "\",\"ok\":false,\"error\":";
+    appendErrorJson(out, type, message, fatal, 0);
+    out += '}';
+    return out;
 }
 
 } // namespace memsense::serve

@@ -697,9 +697,9 @@ Server::runJob(const Job &job)
             if (job.client)
                 ++job.client->counters.solved;
         }
+        staleStore(req, *outcome.result.value);
         sendReply(job.stream, job.client.get(), resultLine(outcome),
                   true);
-        staleStore(req, *outcome.result.value);
     } catch (const model::SolveCancelled &e) {
         {
             std::lock_guard<std::mutex> lock(statsMu);
@@ -902,10 +902,10 @@ Server::runBatch(std::vector<Job> &batch)
                         ++job.client->counters.solved;
                 }
             }
-            sendReply(job.stream, job.client.get(), resultLine(outcome),
-                      true);
             if (!outcome.cacheHit)
                 staleStore(job.request, *outcome.result.value);
+            sendReply(job.stream, job.client.get(), resultLine(outcome),
+                      true);
             continue;
         }
         // Quarantined per-request failure: surface the typed record
@@ -994,16 +994,32 @@ Server::staleLookup(const EvalRequest &req) const
 
 void
 Server::staleStore(const EvalRequest &req,
-                   const model::OperatingPoint &op)
+                   const model::OperatingPoint &op) noexcept
 {
-    std::lock_guard<std::mutex> lock(staleMu);
-    // Unbounded growth guard: the coarse key space is tiny in practice
-    // (3 significant digits per knob), but a hostile workload stream
-    // could still inflate it — cap and wholesale-reset, which only
-    // costs degraded-answer coverage, never correctness.
-    if (staleCache.size() >= 4096)
-        staleCache.clear();
-    staleCache[coarseRequestKey(req)] = op;
+    // Only staleLookup reads this cache, and only with allowStale on:
+    // without it the key and the map insert are pure waste.
+    if (!options.allowStale)
+        return;
+    // Best effort: the cache only widens what overload can still
+    // answer, so a failure here (bad_alloc building the key, an
+    // injected fault) must cost neither the request its one reply nor
+    // the worker its thread. Callers store before replying.
+    try {
+        MS_FAULT_POINT("server.stale_store");
+        std::string key = coarseRequestKey(req);
+        std::lock_guard<std::mutex> lock(staleMu);
+        // Unbounded growth guard: the coarse key space is tiny in
+        // practice (3 significant digits per knob), but a hostile
+        // workload stream could still inflate it — cap and
+        // wholesale-reset, which only costs degraded-answer coverage,
+        // never correctness.
+        if (staleCache.size() >= 4096)
+            staleCache.clear();
+        staleCache[std::move(key)] = op;
+    } catch (...) { // memsense-lint: allow(no-bare-catch): best-effort
+        // cache fill; the loss is counted and the reply still goes out
+        MS_METRIC_COUNT("serve.server.stale_store_failed");
+    }
 }
 
 } // namespace memsense::serve

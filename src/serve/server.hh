@@ -54,10 +54,11 @@
  *
  * Fault sites (MS_FAULT_POINT): server.accept, server.read,
  * server.parse, server.enqueue, server.batch (between batch assembly
- * and the evaluator call), server.solve, server.write, plus the
- * evaluator.probe/solve/insert sites underneath. The chaos harness
- * (scripts/check_chaos.sh) runs the matrix of these against live
- * traffic and asserts the ledger, clean exits, and ASan silence.
+ * and the evaluator call), server.solve, server.stale_store (with
+ * allowStale on), server.write, plus the evaluator.probe/solve/insert
+ * sites underneath. The chaos harness (scripts/check_chaos.sh) runs
+ * the matrix of these against live traffic and asserts the ledger,
+ * clean exits, and ASan silence.
  */
 
 #ifndef MEMSENSE_SERVE_SERVER_HH
@@ -283,8 +284,10 @@ class Server
     /** Coarse stale-answer cache (see allowStale). */
     std::optional<model::OperatingPoint>
     staleLookup(const EvalRequest &req) const;
+    /** Remember a fresh solve for staleLookup. A no-op unless
+     *  allowStale is set; best effort, so it never throws. */
     void staleStore(const EvalRequest &req,
-                    const model::OperatingPoint &op);
+                    const model::OperatingPoint &op) noexcept;
 
     ServerOptions options;
     Evaluator eval;

@@ -14,6 +14,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace memsense
 {
@@ -61,30 +62,36 @@ class TransientError : public std::runtime_error
 /**
  * Throw a ConfigError unless @p cond holds.
  *
+ * The message is a view so a literal costs nothing on the passing
+ * path; the std::string is built only when throwing. Hot-path callers
+ * pass literals and never a concatenation (docs/performance.md).
+ *
  * @param cond condition that must be true for the configuration to be valid
  * @param msg  human-readable description of the requirement
  */
 inline void
-requireConfig(bool cond, const std::string &msg)
+requireConfig(bool cond, std::string_view msg)
 {
     if (!cond)
-        throw ConfigError(msg);
+        throw ConfigError(std::string(msg));
 }
 
 /**
  * Throw a LogicError unless the invariant @p cond holds.
  *
  * @param cond invariant that must hold
- * @param msg  description of the violated invariant
+ * @param msg  description of the violated invariant (built into the
+ *             thrown text only on failure, as for requireConfig)
  * @param loc  call site, captured automatically
  */
 inline void
-requireInvariant(bool cond, const std::string &msg,
+requireInvariant(bool cond, std::string_view msg,
                  std::source_location loc = std::source_location::current())
 {
     if (!cond) {
         throw LogicError(std::string(loc.file_name()) + ":" +
-                         std::to_string(loc.line()) + ": " + msg);
+                         std::to_string(loc.line()) + ": " +
+                         std::string(msg));
     }
 }
 

@@ -1,0 +1,145 @@
+/**
+ * @file
+ * Allocation guard on the serve hot paths.
+ *
+ * This binary replaces the global operator new with a counting one, so
+ * a test can assert how many heap allocations a call makes. A warm
+ * model::Solver::solve on a valid request must make none, and
+ * serializing an ok reply must make at most one (the reply string).
+ * Contract messages built eagerly on the passing path (a concatenation
+ * handed to requireConfig, a std::string parameter bound to a literal)
+ * show up here as allocations long before they show up in a profile.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdlib>
+#include <new>
+#include <string>
+
+#include "model/paper_data.hh"
+#include "model/solver.hh"
+#include "serve/request.hh"
+
+namespace
+{
+
+/** Allocations made by the current thread since it started. */
+thread_local std::size_t tAllocations = 0;
+
+} // anonymous namespace
+
+void *
+operator new(std::size_t size)
+{
+    ++tAllocations;
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+namespace memsense
+{
+namespace
+{
+
+/** Heap allocations @p fn makes on this thread. */
+template <typename Fn>
+std::size_t
+allocationsOf(Fn &&fn)
+{
+    const std::size_t before = tAllocations;
+    fn();
+    return tAllocations - before;
+}
+
+TEST(AllocationGuard, CounterSeesAllocations)
+{
+    // The guard below is only meaningful if the replacement is live.
+    EXPECT_GE(allocationsOf([] {
+                  std::string s(64, 'x');
+                  EXPECT_EQ(s.size(), 64u);
+              }),
+              1u);
+}
+
+TEST(AllocationGuard, WarmSolveAllocatesNothing)
+{
+    model::Solver solver;
+    model::Platform base = model::Platform::paperBaseline();
+    model::Platform narrow = base;
+    narrow.memory.channels = 1; // pushes HPC into the bandwidth regime
+    int bandwidth_bound = 0;
+    for (const auto &p : model::paper::classParams()) {
+        for (const model::Platform &plat : {base, narrow}) {
+            solver.solve(p, plat); // warm: first-use statics, if any
+            model::OperatingPoint op;
+            EXPECT_EQ(allocationsOf([&] { op = solver.solve(p, plat); }),
+                      0u)
+                << p.name << " at " << plat.memory.channels
+                << " channels";
+            bandwidth_bound += op.bandwidthBound ? 1 : 0;
+        }
+    }
+    // Both regimes (Eq. 1 and Eq. 4) ran allocation-free.
+    EXPECT_GT(bandwidth_bound, 0);
+    EXPECT_LT(bandwidth_bound, 6);
+}
+
+TEST(AllocationGuard, OkReplySerializesInOneAllocation)
+{
+    model::Solver solver;
+    serve::EvalOutcome outcome;
+    // Longer than any small-string buffer, so the id is really copied.
+    outcome.id = "sweep-000123-latency_ns-0045";
+    outcome.result.attempts = 1;
+    outcome.result.value.emplace(solver.solve(
+        model::paper::classParams(model::WorkloadClass::BigData),
+        model::Platform::paperBaseline()));
+    for (bool degraded : {false, true}) {
+        outcome.degraded = degraded;
+        std::string line;
+        EXPECT_LE(allocationsOf([&] { line = serve::resultLine(outcome); }),
+                  1u)
+            << "degraded=" << degraded;
+        EXPECT_EQ(line.rfind("{\"id\":\"sweep-000123-latency_ns-0045\"", 0),
+                  0u)
+            << line;
+    }
+}
+
+TEST(AllocationGuard, RequestParseAllocatesOnlyItsDocument)
+{
+    // A sweep point as clients send it: 3 + 1 + 6 = 10 JSON members.
+    const std::string line =
+        "{\"id\":\"sweep-000123-latency_ns\",\"workload\":{\"class\":"
+        "\"hpc\"},\"platform\":{\"cores\":8,\"smt\":2,\"ghz\":2.7,"
+        "\"channels\":4,\"speed_mts\":1866.7,\"latency_ns\":75}}";
+    serve::parseRequestLine(line, 1); // warm: the class preset table
+    serve::EvalRequest req;
+    const std::size_t allocations =
+        allocationsOf([&] { req = serve::parseRequestLine(line, 1); });
+    // The parsed document (member vectors, the long id and its copy)
+    // stays within one allocation per member; an error message built
+    // on the passing path costs one more per field read and breaks
+    // this bound.
+    EXPECT_LE(allocations, 10u);
+    EXPECT_EQ(req.platform.memory.channels, 4);
+    EXPECT_EQ(req.id, "sweep-000123-latency_ns");
+}
+
+} // anonymous namespace
+} // namespace memsense

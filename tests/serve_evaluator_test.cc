@@ -10,6 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <limits>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -20,8 +28,10 @@
 #include "model/paper_data.hh"
 #include "model/sensitivity.hh"
 #include "serve/evaluator.hh"
+#include "serve/json.hh"
 #include "serve/service.hh"
 #include "util/fault_injection.hh"
+#include "util/rng.hh"
 
 namespace memsense::serve
 {
@@ -359,6 +369,131 @@ TEST(ServeService, NoResultFieldLeaksCacheState)
     EXPECT_TRUE(v.has("ok"));
     EXPECT_TRUE(v.has("op"));
     EXPECT_FALSE(v.has("cache_hit"));
+}
+
+// -- jsonNumber / appendJsonNumber: the "%.17g" contract -------------
+//
+// Every double in a result line goes through appendJsonNumber, and the
+// serve golden pins those bytes. The formatter uses
+// std::to_chars(general, 17); these tests hold it to printf("%.17g")
+// bit pattern by bit pattern, so the golden can only move when a
+// solver answer does.
+
+std::string
+printf17g(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+double
+fromBits(std::uint64_t bits)
+{
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+}
+
+void
+expectPrintf17g(double v)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    const std::string want = printf17g(v);
+    EXPECT_EQ(jsonNumber(v), want) << "bits 0x" << std::hex << bits;
+    std::string appended = "x:";
+    appendJsonNumber(appended, v);
+    EXPECT_EQ(appended, "x:" + want) << "bits 0x" << std::hex << bits;
+}
+
+TEST(JsonNumber, MatchesPrintf17gOnEdgeCases)
+{
+    const double two53 = 9007199254740992.0; // 2^53
+    const double edges[] = {
+        0.0,
+        -0.0,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        fromBits(0x000fffffffffffffULL), // largest subnormal
+        DBL_MIN,
+        -DBL_MIN,
+        DBL_MAX,
+        -DBL_MAX,
+        DBL_EPSILON,
+        two53 - 1.0,
+        two53,
+        two53 + 2.0,
+        -two53,
+        std::nextafter(two53, 0.0),
+        std::nextafter(two53, 2.0 * two53),
+        1e16,
+        1e17,
+        123456789012345678.0,
+        0.1,
+        1.0 / 3.0,
+        1.0,
+        30.0,
+        1e-5,
+        1e-4,
+        1e21,
+        5e-324,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+    };
+    for (double v : edges)
+        expectPrintf17g(v);
+}
+
+TEST(JsonNumber, MatchesPrintf17gOnRandomBitPatterns)
+{
+    // Uniform bit patterns cover every exponent, both signs,
+    // subnormals and NaN payloads; a seeded stream keeps a failure
+    // reproducible from the printed bits.
+    Rng rng(20151015);
+    int mismatches = 0;
+    for (int i = 0; i < 200000 && mismatches < 10; ++i) {
+        const double v = fromBits(rng.next());
+        if (std::isnan(v))
+            continue; // printf's NaN sign spelling is libc-specific
+        const std::string got = jsonNumber(v);
+        if (got != printf17g(v)) {
+            ++mismatches;
+            expectPrintf17g(v);
+        }
+    }
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(JsonNumber, ReproducesEveryNumberInTheServeGolden)
+{
+    // Each number in the golden was written by the serializer; parsing
+    // it back and re-serializing must give the same bytes.
+    std::ifstream golden(std::string(MEMSENSE_GOLDEN_DIR) +
+                         "/serve_eval_50.jsonl");
+    ASSERT_TRUE(golden.good());
+    std::string line;
+    int numbers = 0;
+    while (std::getline(golden, line)) {
+        for (std::size_t pos = line.find("\":"); pos != std::string::npos;
+             pos = line.find("\":", pos + 1)) {
+            std::size_t begin = pos + 2;
+            std::size_t end = begin;
+            while (end < line.size() &&
+                   std::strchr("0123456789.eE+-", line[end]) != nullptr &&
+                   line[end] != '\0')
+                ++end;
+            if (end == begin)
+                continue; // a string, object or literal member
+            const std::string text = line.substr(begin, end - begin);
+            const double v = std::strtod(text.c_str(), nullptr);
+            EXPECT_EQ(jsonNumber(v), text) << line;
+            EXPECT_EQ(printf17g(v), text) << line;
+            ++numbers;
+        }
+    }
+    // 50 replies; each ok reply carries 6 doubles plus its iterations.
+    EXPECT_GE(numbers, 300);
 }
 
 } // anonymous namespace

@@ -301,6 +301,69 @@ TEST_F(ServeServerTest, ShedRequestsCanBeServedStaleAndDegraded)
     EXPECT_TRUE(stats.consistent());
 }
 
+TEST_F(ServeServerTest, StaleStoreFaultCostsNeitherAReplyNorAWorker)
+{
+    // The stale cache is best effort. A throw while filling it (an
+    // injected fault here; bad_alloc building the coarse key in the
+    // wild) must not send a second reply for an answered request on
+    // the single-job path, nor escape the worker on the batch path.
+    ServerOptions opts = testOptions();
+    opts.workers = 1;
+    opts.maxBatch = 16;
+    opts.maxQueueDepth = 16;
+    opts.allowStale = true;
+    TestServer ts(opts);
+    fault::configure(
+        "server.solve:delay=400:count=1;server.stale_store:throw");
+    InProcessClient client = ts.transport->connect();
+    // Single-job path: the worker holds "busy" inside its solve...
+    client.send(coldRequest("busy", 40.0));
+    ASSERT_TRUE(spinUntil([] {
+        return fault::fireCount("server.solve") >= 1;
+    }));
+    // ...while three distinct shapes queue up for one batch pass.
+    const std::string lines[] = {
+        coldRequest("b1", 41.0),
+        coldRequest("b2", 42.0),
+        coldRequest("b3", 43.0),
+    };
+    std::size_t queued_bytes = 0;
+    for (const std::string &line : lines) {
+        client.send(line);
+        queued_bytes += line.size();
+    }
+    ASSERT_TRUE(spinUntil([&ts, queued_bytes] {
+        return ts.server->inflightBytesNow() == queued_bytes;
+    }));
+    for (int i = 0; i < 4; ++i)
+        EXPECT_NE(mustRecv(client).find("\"ok\":true"), std::string::npos);
+    // The worker survived the batch: a later request is still solved.
+    client.send(coldRequest("after", 44.0));
+    EXPECT_NE(mustRecv(client).find("\"ok\":true"), std::string::npos);
+    ts.server->stop();
+    const ServerStats stats = ts.server->stats();
+    EXPECT_GE(fault::fireCount("server.stale_store"), 5u);
+    EXPECT_EQ(stats.batches, 1u);
+    EXPECT_EQ(stats.accepted, 5u);
+    EXPECT_EQ(stats.repliesOk, 5u);
+    EXPECT_EQ(stats.repliesError, 0u);
+    EXPECT_TRUE(stats.consistent()) << stats.describe();
+}
+
+TEST_F(ServeServerTest, StaleBookkeepingIsSkippedWithoutAllowStale)
+{
+    // Only staleLookup reads the stale cache, and only with allowStale
+    // on; without it no solve may pay for the coarse key or the insert.
+    TestServer ts(testOptions());
+    fault::configure("server.stale_store:throw");
+    InProcessClient client = ts.transport->connect();
+    client.send(coldRequest("s1", 50.0));
+    EXPECT_NE(mustRecv(client).find("\"ok\":true"), std::string::npos);
+    ts.server->stop();
+    EXPECT_EQ(fault::fireCount("server.stale_store"), 0u);
+    EXPECT_TRUE(ts.server->stats().consistent());
+}
+
 TEST_F(ServeServerTest, DrainDeadlineFlushesQueuedWorkAsOverloaded)
 {
     ServerOptions opts = testOptions();

@@ -33,9 +33,39 @@ using namespace memsense;
 namespace
 {
 
+// The workload a golden row runs. Held as a value rather than a
+// `const char *`: gtest prints a parameter's raw bytes into each test's
+// name, and a pointer there would change from run to run under ASLR.
+enum class Workload : std::uint64_t
+{
+    ColumnStore,
+    Oltp,
+    Bwaves,
+    Spark,
+    WebCaching,
+};
+
+const char *
+workloadId(Workload w)
+{
+    switch (w) {
+    case Workload::ColumnStore:
+        return "column_store";
+    case Workload::Oltp:
+        return "oltp";
+    case Workload::Bwaves:
+        return "bwaves";
+    case Workload::Spark:
+        return "spark";
+    case Workload::WebCaching:
+        return "web_caching";
+    }
+    return "";
+}
+
 struct GoldenCounters
 {
-    const char *id;
+    Workload workload;
     // MachineSnapshot totals.
     std::uint64_t instructions, memoryFetches, writebacks;
     Picos busyTime, idleTime, dramLatencyTotal;
@@ -58,35 +88,35 @@ struct GoldenCounters
 // figures: streaming scan, pointer-chasing OLTP, HPC, JVM-heavy
 // Spark, and idle-heavy web caching.
 constexpr GoldenCounters kGolden[] = {
-    {"column_store",
+    {Workload::ColumnStore,
      1826964ull, 11096ull, 0ull,
      799966265ll, 0ll, 792985431ll,
      6675ull, 10004ull, 16695ull, 16695ull, 0ull,
      16695ull, 0ull, 1191387164ll,
      4246ull, 0ull, 835ull, 22745822ll, 10610522ll,
      1364240ull, 55143ull, 0ll, 138533109ll, 6683ll, 600011844ll},
-    {"oltp",
+    {Workload::Oltp,
      741156ull, 8773ull, 0ull,
      800890279ll, 0ll, 676736624ll,
      75ull, 13175ull, 13175ull, 13175ull, 0ull,
      18295ull, 1024ull, 5004012928ll,
      4545ull, 224ull, 1772ull, 25547533ll, 1118162688ll,
      551874ull, 5562ull, 0ll, 308860434ll, 0ll, 600550760ll},
-    {"bwaves",
+    {Workload::Bwaves,
      2527393ull, 79296ull, 8098ull,
      799944214ll, 0ll, 5802006923ll,
      85466ull, 33754ull, 119285ull, 119285ull, 8098ull,
      119285ull, 8098ull, 8626204071ll,
      29811ull, 1987ull, 22094ull, 170341886ll, 570405179ll,
      1885029ull, 45054ull, 29770ll, 216316634ll, 0ll, 600003730ll},
-    {"spark",
+    {Workload::Spark,
      1059329ull, 7654ull, 0ull,
      492279313ll, 299700000ll, 523775453ll,
      1907ull, 9923ull, 11810ull, 11810ull, 0ull,
      11810ull, 0ull, 804619160ll,
      2967ull, 0ull, 888ull, 15894219ll, 6430962ll,
      791644ull, 7544ull, 0ll, 134719584ll, 0ll, 378246697ll},
-    {"web_caching",
+    {Workload::WebCaching,
      550376ull, 2975ull, 0ull,
      437335963ll, 362970000ll, 225018506ll,
      0ull, 4464ull, 4464ull, 4464ull, 0ull,
@@ -105,7 +135,7 @@ TEST_P(SimEquivalence, BitIdenticalToPreSoaGolden)
     setLogLevel(LogLevel::Warn);
 
     measure::RunConfig rc;
-    rc.workloadId = g.id;
+    rc.workloadId = workloadId(g.workload);
     rc.cores = 2;
     rc.ghz = 2.7;
     rc.memMtPerSec = 1866.7;
@@ -158,7 +188,7 @@ TEST_P(SimEquivalence, BitIdenticalToPreSoaGolden)
 INSTANTIATE_TEST_SUITE_P(
     AllWorkloads, SimEquivalence, ::testing::ValuesIn(kGolden),
     [](const ::testing::TestParamInfo<GoldenCounters> &param_info) {
-        return std::string(param_info.param.id);
+        return std::string(workloadId(param_info.param.workload));
     });
 
 } // namespace

@@ -34,6 +34,7 @@
 #include "serve/transport.hh"
 #include "util/cli.hh"
 #include "util/error.hh"
+#include "util/fault_injection.hh"
 #include "util/trace.hh"
 
 using namespace memsense;
@@ -115,6 +116,9 @@ main(int argc, char **argv)
 
     try {
         installSignalHandlers();
+        // MEMSENSE_FAULTS arms the server's fault sites
+        // (scripts/check_chaos.sh); unset, every site stays inert.
+        fault::configureFromEnv();
 
         serve::ServerOptions opts;
         opts.workers = cli.getInt("workers");
