@@ -20,6 +20,9 @@
  *           "sweep_points": 24, "throughput_points_per_s": ...,
  *           "phases_ms": { "sweep": ..., "report": ... } }, ... },
  *       "microbench": { "BM_CacheLookup/2": { "median_ns": ... } },
+ *       "serve_batch": { "repeats": 11, "baseline_rps": ...,
+ *           "baseline_mad_rps": ..., "batched_rps": ...,
+ *           "batched_mad_rps": ..., "host": { ... } },
  *       "baseline_pre_pr": { ...carried forward verbatim... }
  *     }
  *
@@ -49,6 +52,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
@@ -106,6 +110,57 @@ timedRun(const std::string &cmd)
         throw memsense::ConfigError("command failed (" +
                                      std::to_string(rc) + "): " + cmd);
     return std::chrono::duration<double>(end - start).count();
+}
+
+/** First line of a shell command's stdout; "" when it fails. */
+std::string
+commandOutput(const std::string &cmd)
+{
+    FILE *pipe = ::popen(cmd.c_str(), "r");
+    if (pipe == nullptr)
+        return "";
+    char buf[256] = {};
+    const bool got = std::fgets(buf, sizeof(buf), pipe) != nullptr;
+    const int rc = ::pclose(pipe);
+    return got && rc == 0 ? memsense::trim(buf) : "";
+}
+
+/** Where a row was measured: CPU, core count, compiler, build type
+ *  and the commit (with "+dirty" for uncommitted changes). */
+std::string
+hostJson()
+{
+    std::string model = "unknown";
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    for (std::string line; std::getline(cpuinfo, line);) {
+        const std::size_t colon = line.find(':');
+        if (line.rfind("model name", 0) == 0 &&
+            colon != std::string::npos) {
+            model = memsense::trim(line.substr(colon + 1));
+            break;
+        }
+    }
+    std::string commit =
+        commandOutput("git rev-parse --short=12 HEAD 2>/dev/null");
+    if (commit.empty())
+        commit = "unknown";
+    else if (!commandOutput("git status --porcelain --untracked-files=no "
+                            "2>/dev/null")
+                  .empty())
+        commit += "+dirty";
+#if defined(__clang__)
+    const std::string compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+    const std::string compiler = "GCC " __VERSION__;
+#else
+    const std::string compiler = "unknown";
+#endif
+    std::ostringstream out;
+    out << "{\"cpus\": " << std::thread::hardware_concurrency()
+        << ", \"cpu_model\": \"" << model << "\", \"compiler\": \""
+        << compiler << "\", \"build_type\": \"" << MEMSENSE_BUILD_TYPE
+        << "\", \"commit\": \"" << commit << "\"}";
+    return out.str();
 }
 
 std::string
@@ -336,6 +391,10 @@ runMicrobench(const std::string &binDir, const std::string &filter,
 constexpr int kServeBatchUnique = 64;
 constexpr int kServeBatchConns = 16;
 constexpr int kServeBatchTotal = kServeBatchUnique * kServeBatchConns;
+/** Passes per mode. One pass takes milliseconds and its throughput
+ *  swings with host scheduling, so the row needs many repeats for its
+ *  median and MAD to mean anything. */
+constexpr int kServeBatchRepeats = 11;
 
 /**
  * One timed pass: a fresh (cold-cache) in-process server, every
@@ -381,7 +440,8 @@ serveBatchPassRps(std::size_t max_batch, double linger_ms,
     // wall time; the solves it times stay deterministic
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < kServeBatchTotal; ++i)
-        clients[i / kServeBatchUnique].send(lines[i]);
+        clients[static_cast<std::size_t>(i / kServeBatchUnique)].send(
+            lines[static_cast<std::size_t>(i)]);
     std::string reply;
     for (InProcessClient &client : clients) {
         for (int i = 0; i < kServeBatchUnique; ++i) {
@@ -428,6 +488,8 @@ appendServeBatchJson(std::ostringstream &out, const ServeBatchResult &r)
     out << "  \"serve_batch\": {\n"
         << "    \"requests\": " << kServeBatchTotal << ",\n"
         << "    \"unique_shapes\": " << kServeBatchUnique << ",\n"
+        << "    \"repeats\": " << r.batchedRps.size() << ",\n"
+        << "    \"host\": " << hostJson() << ",\n"
         << "    \"baseline_runs_rps\": [";
     for (std::size_t i = 0; i < r.baselineRps.size(); ++i)
         out << (i ? ", " : "") << num(r.baselineRps[i]);
@@ -437,7 +499,10 @@ appendServeBatchJson(std::ostringstream &out, const ServeBatchResult &r)
         out << (i ? ", " : "") << num(r.batchedRps[i]);
     out << "],\n"
         << "    \"baseline_rps\": " << num(base) << ",\n"
+        << "    \"baseline_mad_rps\": " << num(madOf(r.baselineRps))
+        << ",\n"
         << "    \"batched_rps\": " << num(batched) << ",\n"
+        << "    \"batched_mad_rps\": " << num(madOf(r.batchedRps)) << ",\n"
         << "    \"batched_speedup\": "
         << num(base > 0.0 ? batched / base : 0.0) << "\n"
         << "  },\n";
@@ -498,7 +563,7 @@ main(int argc, char **argv)
     if (!skipMicro)
         micro = runMicrobench(binDir, filter, scratch);
 
-    const ServeBatchResult serveBatch = runServeBatch(repeats);
+    const ServeBatchResult serveBatch = runServeBatch(kServeBatchRepeats);
 
     std::string baseline;
     if (!carryPath.empty())

@@ -59,7 +59,10 @@ require_json_field() { # file needle label
 # extra flags, fire the loadgen at it, SIGTERM the server, and check
 # both exit codes plus the server's ledger consistency.
 #   run_scenario <name> <fault_spec> <loadgen_extra...>
-# Extra server flags come in via the SERVER_FLAGS array variable.
+# Extra server flags come in via the SERVER_FLAGS array variable; the
+# loadgen's fixture and connection count via REQUESTS and CONNECTIONS
+# (default: the shared fixture on 4 connections). WARM names a fixture
+# replayed once on one connection before the measured run.
 run_scenario() {
     local name="$1" faults="$2"
     shift 2
@@ -84,8 +87,19 @@ run_scenario() {
         sleep 0.05
     done
 
+    if [ -n "${WARM:-}" ]; then
+        env -u MEMSENSE_FAULTS "${loadgen_bin}" --unix "${sock}" \
+            --requests "${WARM}" --connections 1 \
+            --total "$(wc -l < "${WARM}")" --recv-timeout-ms 10000 \
+            >/dev/null 2>"${scratch}/${name}.warm.log" || {
+            echo "FAIL(${name}): warm-up loadgen exited non-zero" >&2
+            cat "${scratch}/${name}.warm.log" >&2
+            exit 1
+        }
+    fi
     env -u MEMSENSE_FAULTS "${loadgen_bin}" --unix "${sock}" \
-        --requests "${requests}" --connections 4 --total 200 \
+        --requests "${REQUESTS:-${requests}}" \
+        --connections "${CONNECTIONS:-4}" --total 200 \
         --recv-timeout-ms 10000 --report-json "${report}" "$@" \
         >/dev/null 2>"${scratch}/${name}.loadgen.log" || {
         echo "FAIL(${name}): loadgen exited non-zero" >&2
@@ -122,20 +136,37 @@ for site in server.read server.parse server.enqueue server.solve \
     run_scenario "fault-${site}" "seed=7;${site}:throw:p=0.1"
 done
 
-# Delay faults jam the workers; a tiny queue must shed, not wedge.
-SERVER_FLAGS=(--workers 1 --max-queue 4)
-run_scenario overload "seed=7;server.solve:delay=20:p=0.5"
-overload_report="${scratch}/overload.report.json"
-require_json_field "${overload_report}" '"overloaded":' overload
-python3 - "${overload_report}" <<'EOF'
+# Overload: delay faults jam the one worker while 16 closed-loop
+# connections keep 16 cold requests in flight against a queue of 2, so
+# admission must shed (more than a worker plus the queue can hold), and
+# shedding must stay bounded: some ok, some shed, none lost.
+#   check_shedding <name> [stale]
+check_shedding() {
+    python3 - "${scratch}/$1.report.json" "${scratch}/$1.stats.json" \
+        "${2:-}" <<'EOF'
 import json, sys
-r = json.load(open(sys.argv[1]))
-sent = r["sent"]
-shed = r["overloaded"]
-assert sent == 200, f"loadgen lost requests: {r}"
-assert r["ok"] > 0, f"nothing succeeded under overload: {r}"
-assert shed < sent, f"everything was shed: {r}"
+report = json.load(open(sys.argv[1]))
+stats = json.load(open(sys.argv[2]))
+stale = sys.argv[3] == "stale"
+sent = report["sent"]
+assert sent == 200, f"loadgen lost requests: {report}"
+assert stats["shed"] > 0, f"overload never shed: {stats}"
+assert report["ok"] > 0, f"nothing succeeded under overload: {report}"
+assert report["overloaded"] < sent, f"everything was shed: {report}"
+if stale:
+    assert stats["stale_served"] > 0, f"no stale answers: {stats}"
+    assert report["degraded"] > 0, f"no degraded replies: {report}"
+    assert report["degraded"] == stats["stale_served"], \
+        f'degraded {report["degraded"]} vs stale_served {stats["stale_served"]}'
+print(f'shed {stats["shed"]} of {sent}, ok {report["ok"]},'
+      f' stale_served {stats["stale_served"]}')
 EOF
+}
+
+SERVER_FLAGS=(--workers 1 --max-queue 2)
+CONNECTIONS=16 run_scenario overload "seed=7;server.solve:delay=20:p=0.5"
+require_json_field "${scratch}/overload.report.json" '"overloaded":' overload
+check_shedding overload
 echo "OK: overload shedding is bounded (some ok, some shed, none lost)"
 
 # Deadline pressure: every request carries a tight budget while solves
@@ -144,17 +175,41 @@ SERVER_FLAGS=(--workers 2 --default-deadline-ms 15)
 run_scenario deadlines "seed=11;server.solve:delay=25:p=0.4" \
     --deadline-ms 15
 
-# Stale degradation: same overload, but the server may answer from the
-# coarse fingerprint cache instead of shedding outright.
-SERVER_FLAGS=(--workers 1 --max-queue 4 --allow-stale)
-run_scenario degraded "seed=7;server.solve:delay=20:p=0.5"
+# Stale degradation: the same overload, over near-duplicate sweep
+# points. Each group shares a 3-significant-digit coarse key but every
+# line has its own exact fingerprint, so a shed request misses the
+# cache yet can be answered stale (`"degraded":true`) from a neighbour
+# instead of being shed outright. A warm-up pass solves three other
+# members of each group first; the shed replies of the flood come back
+# far faster than a delayed solve, so without it the whole run can be
+# over before any neighbour is solved.
+near_dups="${scratch}/near_duplicates.jsonl"
+near_warm="${scratch}/near_duplicates_warm.jsonl"
+for base in 10 20 30 40; do
+    for k in $(seq 1 12); do
+        printf '{"workload":{"mpki":%d.%04d}}\n' "${base}" "${k}"
+    done
+done > "${near_dups}"
+for base in 10 20 30 40; do
+    for k in 1 2 3; do
+        printf '{"workload":{"mpki":%d.%05d}}\n' "${base}" "${k}"
+    done
+done > "${near_warm}"
+SERVER_FLAGS=(--workers 1 --max-queue 2 --allow-stale)
+CONNECTIONS=16 REQUESTS="${near_dups}" WARM="${near_warm}" \
+    run_scenario degraded "seed=7;server.solve:delay=20:p=0.5"
+check_shedding degraded stale
+echo "OK: degraded (shed requests answered stale)"
 
 # Filling the stale cache is best effort: a fault there, on the
 # single-job and the batched solve path alike, must cost neither a
 # second reply (ledger) nor a worker thread (clean exit on SIGTERM).
-SERVER_FLAGS=(--workers 1 --max-queue 4 --allow-stale)
-run_scenario degraded-store-fault \
+SERVER_FLAGS=(--workers 1 --max-queue 2 --allow-stale)
+CONNECTIONS=16 REQUESTS="${near_dups}" WARM="${near_warm}" \
+    run_scenario degraded-store-fault \
     "seed=7;server.solve:delay=20:p=0.5;server.stale_store:throw:p=0.5"
+check_shedding degraded-store-fault stale
+echo "OK: degraded-store-fault (stale answers despite store faults)"
 
 # --- Batching x quota matrix -------------------------------------------
 

@@ -2,7 +2,8 @@
 # Performance gate: build Release, run the perf suite (bench/perf_suite),
 # write a fresh BENCH_memsense.json, and diff it against the committed
 # copy at the repo root. A config whose warm-median wall time regressed
-# by more than the threshold (default 25%) is flagged.
+# by more than the threshold (default 25%) is flagged; a serve_batch
+# throughput must also have dropped by more than three MADs.
 #
 # Wall-clock measurements on a shared/loaded machine are noisy, so the
 # check is ADVISORY by default: regressions are printed but the script
@@ -72,22 +73,35 @@ for key, old in base.items():
     print(f"{key}: {speedup:.2f}x vs pre-campaign baseline")
 
 # serve_batch: higher is better (requests/s), and the batched mode
-# must stay ahead of the one-request-per-pass baseline.
+# must stay ahead of the one-request-per-pass baseline. Both rows carry
+# a median and MAD over their repeats; a drop is flagged only when it
+# exceeds the threshold AND three times the larger of the two MADs, and
+# batching only counts as slower when it trails the baseline by more
+# than three MADs, so run-to-run noise is not a regression.
 old_sb = committed.get("serve_batch")
 new_sb = fresh.get("serve_batch")
 if new_sb:
     ratio = new_sb["batched_speedup"]
     print(f"serve_batch: fresh baseline {new_sb['baseline_rps']:.0f} rps,"
           f" batched {new_sb['batched_rps']:.0f} rps ({ratio:.2f}x)")
-    if old_sb and old_sb.get("batched_rps"):
-        o, n = old_sb["batched_rps"], new_sb["batched_rps"]
+    for mode in ("baseline", "batched"):
+        key = f"{mode}_rps"
+        if not (old_sb and old_sb.get(key)):
+            continue
+        o, n = old_sb[key], new_sb[key]
         delta = 100.0 * (n - o) / o
-        flag = " <-- REGRESSION" if -delta > threshold else ""
-        print(f"serve_batch.batched_rps: committed {o:.0f},"
-              f" fresh {n:.0f} ({delta:+.1f}%){flag}")
-        if -delta > threshold:
-            regressions.append("serve_batch.batched_rps")
-    if ratio < 1.0:
+        spread = max(old_sb.get(f"{mode}_mad_rps", 0.0),
+                     new_sb.get(f"{mode}_mad_rps", 0.0))
+        noise = f", {(n - o) / spread:+.1f} MAD" if spread > 0 else ""
+        regressed = -delta > threshold and o - n > 3.0 * spread
+        flag = " <-- REGRESSION" if regressed else ""
+        print(f"serve_batch.{key}: committed {o:.0f}, fresh {n:.0f}"
+              f" ({delta:+.1f}%{noise}){flag}")
+        if regressed:
+            regressions.append(f"serve_batch.{key}")
+    gap = new_sb["baseline_rps"] - new_sb["batched_rps"]
+    if ratio < 1.0 and gap > 3.0 * max(new_sb.get("baseline_mad_rps", 0.0),
+                                       new_sb.get("batched_mad_rps", 0.0)):
         print("serve_batch: batching is SLOWER than the baseline"
               " <-- REGRESSION")
         regressions.append("serve_batch.batched_speedup")

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 
 #include "util/contract.hh"
 #include "util/error.hh"
@@ -142,6 +143,14 @@ class Parser
             ++pos;
             return v;
         }
+        // Members collect on the parse-wide scratch stack (a nested
+        // object pushes above this one's and pops back to its own
+        // base), then move into a vector reserved to the exact count:
+        // one member-array allocation per object, no regrowth, and no
+        // slack a hostile line of tiny objects could multiply.
+        if (scratch.capacity() == 0)
+            scratch.reserve(kScratchMembers);
+        const std::size_t base = scratch.size();
         for (;;) {
             skipWs();
             // memsense-lint: allow(no-hot-loop-alloc): a DOM parser's
@@ -150,16 +159,24 @@ class Parser
             std::string key = parseString();
             skipWs();
             expect(':');
-            // memsense-lint: allow(no-hot-loop-alloc): DOM output node
-            v.members.emplace_back(std::move(key), parseValue());
+            JsonValue member = parseValue();
+            // memsense-lint: allow(no-hot-loop-alloc): the parse-wide
+            // scratch stack, reserved on the first object of a parse
+            scratch.emplace_back(std::move(key), std::move(member));
             skipWs();
             if (peek() == ',') {
                 ++pos;
                 continue;
             }
             expect('}');
-            return v;
+            break;
         }
+        const auto first = scratch.begin() +
+                           static_cast<std::ptrdiff_t>(base);
+        v.members.assign(std::make_move_iterator(first),
+                         std::make_move_iterator(scratch.end()));
+        scratch.erase(first, scratch.end());
+        return v;
     }
 
     JsonValue
@@ -331,10 +348,18 @@ class Parser
         return out;
     }
 
+    /** Scratch entries reserved per parse. A sweep-point request (id,
+     *  workload, five platform fields) has at most 8 members open at
+     *  once, and 8 entries (1 KiB) stay small enough for the
+     *  allocator's per-thread cache; a larger document regrows it. */
+    static constexpr std::size_t kScratchMembers = 8;
+
     std::string_view in;
     JsonLimits limits;
     std::size_t pos = 0;
     int depth = 0;
+    /** Members of the objects being parsed, innermost last. */
+    std::vector<std::pair<std::string, JsonValue>> scratch;
 };
 
 } // anonymous namespace

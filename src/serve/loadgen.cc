@@ -248,15 +248,16 @@ runLoadgen(const Dialer &dial, const LoadgenOptions &opts)
             }
             // memsense-lint: allow(no-hot-loop-alloc): one line built
             // per network request; the socket round-trip dominates
-            const std::string line = loadgenRequestLine(
+            std::string line = loadgenRequestLine(
                 opts.fixtures[index % opts.fixtures.size()], index,
                 opts.deadlineMs);
+            line += '\n';
 
             bool replied = false;
             ReplyClass cls = ReplyClass::OtherError;
             double latency_ms = 0.0;
             const double sent_at = now();
-            if (stream->writeLine(line)) {
+            if (stream->write(line)) {
                 const LineStream::Read r =
                     stream->readLine(reply, opts.recvTimeoutMs);
                 if (r == LineStream::Read::Line) {

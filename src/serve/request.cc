@@ -133,6 +133,13 @@ resultLine(const EvalOutcome &outcome)
 {
     std::string out;
     out.reserve(kOkReplyReserve + outcome.id.size());
+    appendResultLine(out, outcome);
+    return out;
+}
+
+void
+appendResultLine(std::string &out, const EvalOutcome &outcome)
+{
     out += "{\"id\":\"";
     appendJsonEscaped(out, outcome.id);
     out += "\",";
@@ -157,13 +164,12 @@ resultLine(const EvalOutcome &outcome)
         out += ",\"iterations\":";
         out += std::to_string(op.iterations);
         out += "}}";
-        return out;
+        return;
     }
     const measure::FailureRecord &f = *outcome.result.failure;
     out += "\"ok\":false,\"error\":";
     appendErrorJson(out, f.errorType, f.message, f.fatal, f.attempts);
     out += '}';
-    return out;
 }
 
 std::string

@@ -83,6 +83,9 @@ EvalRequest parseRequestLine(const std::string &line,
 /** Serialize one outcome as its JSON result line (no newline). */
 std::string resultLine(const EvalOutcome &outcome);
 
+/** Append resultLine(@p outcome) to @p out without a temporary. */
+void appendResultLine(std::string &out, const EvalOutcome &outcome);
+
 /**
  * Build the result line for a request that never parsed: same error
  * shape as a failed solve, with attempts = 0.

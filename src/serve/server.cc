@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <iterator>
+#include <numeric>
 #include <utility>
 
 #include "serve/json.hh"
@@ -317,8 +319,12 @@ Server::acceptLoop(Transport *transport)
                 std::lock_guard<std::mutex> lock(statsMu);
                 ++counters.connectionsShed;
             }
-            shared->writeLine(errorReplyLine(
-                "", "overloaded", "connection limit reached", false));
+            // memsense-lint: allow(no-hot-loop-alloc): once per refused
+            // connection, not per request
+            std::string refusal = errorReplyLine(
+                "", "overloaded", "connection limit reached", false);
+            refusal += '\n';
+            shared->write(refusal);
             shared->shutdownStream();
             continue;
         }
@@ -355,9 +361,19 @@ void
 Server::readLoop(std::shared_ptr<LineStream> stream,
                  std::shared_ptr<ClientState> client)
 {
+    // One pass is the run of lines readable without waiting, capped at
+    // maxBatch. It ends (misses admitted, replies flushed) before the
+    // reader could block for more input, so a client sending one line
+    // at a time still gets each reply at once.
+    ReaderPass pass;
+    pass.cold.reserve(options.maxBatch);
+    pass.verdicts.reserve(options.maxBatch);
     std::string line;
     std::size_t line_number = 0;
     while (!stopFlag.load(std::memory_order_acquire)) {
+        if (pass.lines > 0 &&
+            (pass.lines >= options.maxBatch || !stream->lineReady()))
+            endPass(pass, *client);
         const LineStream::Read r =
             stream->readLine(line, options.pollMs);
         if (r == LineStream::Read::Idle)
@@ -370,13 +386,7 @@ Server::readLoop(std::shared_ptr<LineStream> stream,
             // The oversized line was counted and dropped by the
             // stream; reply once, then drop the connection — the
             // framing past an unread tail is unrecoverable.
-            {
-                std::lock_guard<std::mutex> lock(statsMu);
-                ++counters.accepted;
-                ++counters.parseErrors;
-                ++client->counters.accepted;
-            }
-            MS_METRIC_COUNT("serve.server.accepted");
+            ++pass.lines;
             // Oversized-line error path: fires at most once per
             // connection, so the string building below is cold.
             // memsense-lint: allow(no-hot-loop-alloc): cold error path
@@ -386,10 +396,9 @@ Server::readLoop(std::shared_ptr<LineStream> stream,
             // memsense-lint: allow(no-hot-loop-alloc): cold error path
             cap_msg += std::to_string(options.maxLineBytes);
             cap_msg += " bytes";
-            sendReply(stream, client.get(),
-                      errorReplyLine(cap_id, "ConfigError", cap_msg,
-                                     true),
-                      false);
+            reply(pass.replies, *stream, *client,
+                  ReplyKind::ParseError,
+                  errorReplyLine(cap_id, "ConfigError", cap_msg, true));
             break;
         }
         bool blank = true;
@@ -398,8 +407,10 @@ Server::readLoop(std::shared_ptr<LineStream> stream,
                 blank = false;
         if (blank)
             continue;
-        handleLine(stream, client, line, line_number);
+        ++pass.lines;
+        handleLine(pass, stream, client, line, line_number);
     }
+    endPass(pass, *client);
     // Deliberately no shutdownStream() here: queued jobs from this
     // connection still own the stream via shared_ptr and will write
     // their replies (half-closed clients read them); the descriptor
@@ -408,19 +419,14 @@ Server::readLoop(std::shared_ptr<LineStream> stream,
 }
 
 void
-Server::handleLine(const std::shared_ptr<LineStream> &stream,
+Server::handleLine(ReaderPass &pass,
+                   const std::shared_ptr<LineStream> &stream,
                    const std::shared_ptr<ClientState> &client,
                    const std::string &line, std::size_t line_number)
 {
-    // From here on this line is "accepted": it appears in the ledger
-    // and is owed exactly one reply on every path below.
-    {
-        std::lock_guard<std::mutex> lock(statsMu);
-        ++counters.accepted;
-        ++client->counters.accepted;
-    }
-    MS_METRIC_COUNT("serve.server.accepted");
-
+    // This line is already counted in pass.lines: endPass accepts it
+    // into the ledger, and it is owed exactly one reply on every path
+    // below.
     EvalRequest req;
     try {
         MS_FAULT_POINT("server.parse");
@@ -428,44 +434,33 @@ Server::handleLine(const std::shared_ptr<LineStream> &stream,
     } catch (const std::exception &) {
         const std::exception_ptr ep = std::current_exception();
         const ExceptionInfo info = describeException(ep);
-        {
-            std::lock_guard<std::mutex> lock(statsMu);
-            ++counters.parseErrors;
-        }
-        sendReply(stream, client.get(),
-                  errorReplyLine("line-" + std::to_string(line_number),
-                                 info.type, info.message,
-                                 classifyException(ep) ==
-                                     ErrorClass::Fatal),
-                  false);
+        reply(pass.replies, *stream, *client, ReplyKind::ParseError,
+              errorReplyLine("line-" + std::to_string(line_number),
+                             info.type, info.message,
+                             classifyException(ep) == ErrorClass::Fatal));
         return;
     }
 
     // Fast path: a verified cache hit is answered inline on the reader
     // thread and consumes no queue slot — under overload the hot set
-    // keeps flowing while cold solves are shed below.
+    // keeps flowing while cold solves are shed at admission.
     try {
         if (auto hit = eval.probe(req.workload, req.platform)) {
             EvalOutcome outcome;
-            outcome.id = req.id;
+            outcome.id = std::move(req.id);
             outcome.result.attempts = 1;
             outcome.result.value.emplace(*hit);
             outcome.cacheHit = true;
-            {
-                std::lock_guard<std::mutex> lock(statsMu);
-                ++counters.cacheHits;
-                ++client->counters.cacheHits;
-            }
-            sendReply(stream, client.get(), resultLine(outcome), true);
+            reply(pass.replies, *stream, *client, ReplyKind::Hit,
+                  outcome);
             return;
         }
     } catch (const std::exception &) {
         const ExceptionInfo info =
             describeException(std::current_exception());
-        sendReply(stream, client.get(),
-                  errorReplyLine(req.id, "internal",
-                                 info.type + ": " + info.message, false),
-                  false);
+        reply(pass.replies, *stream, *client, ReplyKind::Failed,
+              errorReplyLine(req.id, "internal",
+                             info.type + ": " + info.message, false));
         return;
     }
 
@@ -478,34 +473,66 @@ Server::handleLine(const std::shared_ptr<LineStream> &stream,
     if (budget_ms > 0.0)
         job.deadlineAtMs = now() + budget_ms;
     job.request = std::move(req);
+    // memsense-lint: allow(no-hot-loop-alloc): reserved to maxBatch,
+    // the most lines one pass reads
+    pass.cold.push_back(std::move(job));
+}
 
-    // Admission control, two tiers under one lock: the client's own
-    // quota first — a noisy neighbor is shed with `quota_exceeded`
-    // before it can trip global admission for everyone — then the
-    // global queue-depth and inflight-bytes bounds.
-    bool admitted = false;
-    bool quota_shed = false;
-    std::size_t depth = 0;
-    std::size_t bytes_inflight = 0;
-    std::size_t client_depth = 0;
-    std::size_t client_bytes = 0;
+void
+Server::endPass(ReaderPass &pass, ClientState &client)
+{
+    // The ledger first: the pass's lines are accepted before any of
+    // its jobs is queued (and could be answered by a worker) and before
+    // any of its replies is written, so a live stats() snapshot never
+    // shows more replies than accepted requests.
+    if (pass.lines > 0) {
+        {
+            std::lock_guard<std::mutex> lock(statsMu);
+            counters.accepted += pass.lines;
+            client.counters.accepted += pass.lines;
+        }
+        MS_METRIC_COUNT_N("serve.server.accepted", pass.lines);
+        pass.lines = 0;
+    }
+    admit(pass, client);
+    flush(pass.replies);
+}
+
+void
+Server::admit(ReaderPass &pass, ClientState &client)
+{
+    std::vector<Job> &jobs = pass.cold;
+    if (jobs.empty())
+        return;
+    pass.verdicts.assign(jobs.size(), Verdict{});
+    bool any_queued = false;
     {
+        // Admission control, two tiers per request, in line order: the
+        // client's own quota first — a noisy neighbor is shed with
+        // `quota_exceeded` before it can trip global admission for
+        // everyone — then the global queue-depth and inflight-bytes
+        // bounds.
         std::lock_guard<std::mutex> lock(queueMu);
-        depth = queue.size();
-        bytes_inflight = inflightBytes;
-        client_depth = client->queuedJobs;
-        client_bytes = client->queuedBytes;
-        const bool over_quota =
-            (options.maxQueuePerClient > 0 &&
-             client->queuedJobs >= options.maxQueuePerClient) ||
-            (options.maxInflightBytesPerClient > 0 &&
-             client->queuedBytes + job.bytes >
-                 options.maxInflightBytesPerClient);
-        if (!hardStop && over_quota) {
-            quota_shed = true;
-        } else if (!hardStop && depth < options.maxQueueDepth &&
-                   inflightBytes + job.bytes <=
-                       options.maxInflightBytes) {
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            Job &job = jobs[i];
+            Verdict &v = pass.verdicts[i];
+            const bool over_quota =
+                (options.maxQueuePerClient > 0 &&
+                 client.queuedJobs >= options.maxQueuePerClient) ||
+                (options.maxInflightBytesPerClient > 0 &&
+                 client.queuedBytes + job.bytes >
+                     options.maxInflightBytesPerClient);
+            if (!hardStop && over_quota) {
+                v.quota = true;
+                v.depth = client.queuedJobs;
+                v.bytes = client.queuedBytes;
+                continue;
+            }
+            v.depth = queue.size();
+            v.bytes = inflightBytes;
+            if (hardStop || queue.size() >= options.maxQueueDepth ||
+                inflightBytes + job.bytes > options.maxInflightBytes)
+                continue;
             try {
                 MS_FAULT_POINT("server.enqueue");
                 const std::size_t job_bytes = job.bytes;
@@ -518,87 +545,80 @@ Server::handleLine(const std::shared_ptr<LineStream> &stream,
                 // untouched, so drain's inflightBytes==0 MS_ENSURE
                 // stays provable.
                 inflightBytes += job_bytes;
-                client->queuedJobs += 1;
-                client->queuedBytes += job_bytes;
-                depth = queue.size();
-                admitted = true;
+                client.queuedJobs += 1;
+                client.queuedBytes += job_bytes;
+                v.depth = queue.size();
+                v.queued = true;
+                any_queued = true;
             } catch (const std::exception &) {
                 // Injected enqueue fault: fall through to the shed
                 // path so the request still gets exactly one reply.
-                admitted = false;
             }
         }
     }
-    if (admitted) {
-        MS_METRIC_OBSERVE("serve.server.queue_depth",
-                          static_cast<double>(depth));
+    if (any_queued)
         queueCv.notify_one();
-        return;
-    }
+    MS_METRIC_OBSERVE("serve.server.admit_group",
+                      static_cast<double>(jobs.size()));
 
-    if (quota_shed) {
-        // A quota shed is the client's own backlog, not server
-        // pressure: reply with the distinct type (so well-behaved
-        // clients can tell "slow down" from "server full") and never
-        // serve it stale — degradation is reserved for capacity sheds.
-        {
-            std::lock_guard<std::mutex> lock(statsMu);
-            ++counters.quotaShed;
-            ++client->counters.quotaShed;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const Verdict &v = pass.verdicts[i];
+        const Job &job = jobs[i];
+        if (v.queued) {
+            MS_METRIC_OBSERVE("serve.server.queue_depth",
+                              static_cast<double>(v.depth));
+            continue;
         }
-        MS_METRIC_COUNT("serve.client.quota_shed");
-        sendReply(stream, client.get(),
+        const EvalRequest &request = job.request;
+        if (v.quota) {
+            // A quota shed is the client's own backlog, not server
+            // pressure: reply with the distinct type (so well-behaved
+            // clients can tell "slow down" from "server full") and
+            // never serve it stale — degradation is reserved for
+            // capacity sheds.
+            MS_METRIC_COUNT("serve.client.quota_shed");
+            reply(pass.replies, *job.stream, client, ReplyKind::QuotaShed,
                   errorReplyLine(
-                      job.request.id, "quota_exceeded",
+                      request.id, "quota_exceeded",
                       strformat("client %s over quota: %zu requests / "
                                 "%zu bytes already queued",
-                                client->id.c_str(), client_depth,
-                                client_bytes),
-                      false),
-                  false);
-        return;
-    }
-
-    // Shed path: degraded stale answer when both sides allow it,
-    // otherwise a typed, explicitly-retryable overload error.
-    {
-        std::lock_guard<std::mutex> lock(statsMu);
-        ++counters.shed;
-        ++client->counters.shed;
-    }
-    MS_METRIC_COUNT("serve.server.shed");
-    const EvalRequest &request = job.request;
-    if (options.allowStale && request.allowStale) {
-        if (auto stale = staleLookup(request)) {
-            EvalOutcome outcome;
-            outcome.id = request.id;
-            outcome.result.attempts = 1;
-            outcome.result.value.emplace(*stale);
-            outcome.degraded = true;
-            {
-                std::lock_guard<std::mutex> lock(statsMu);
-                ++counters.staleServed;
-            }
-            sendReply(stream, client.get(), resultLine(outcome), true);
-            return;
+                                client.id.c_str(), v.depth, v.bytes),
+                      false));
+            continue;
         }
-    }
-    sendReply(stream, client.get(),
+        // Shed path: degraded stale answer when both sides allow it,
+        // otherwise a typed, explicitly-retryable overload error.
+        MS_METRIC_COUNT("serve.server.shed");
+        if (options.allowStale && request.allowStale) {
+            if (auto stale = staleLookup(request)) {
+                EvalOutcome outcome;
+                outcome.id = request.id;
+                outcome.result.attempts = 1;
+                outcome.result.value.emplace(*stale);
+                outcome.degraded = true;
+                reply(pass.replies, *job.stream, client, ReplyKind::Stale,
+                      outcome);
+                continue;
+            }
+        }
+        reply(pass.replies, *job.stream, client, ReplyKind::Shed,
               errorReplyLine(request.id, "overloaded",
                              strformat("queue full: %zu queued, %zu "
                                        "bytes in flight",
-                                       depth, bytes_inflight),
-                             false),
-              false);
+                                       v.depth, v.bytes),
+                             false));
+    }
+    jobs.clear();
 }
 
 void
 Server::workerLoop()
 {
-    // One reusable batch buffer per worker: cleared, never shrunk, so
-    // steady state allocates nothing per pass.
+    // One reusable batch buffer and reply batch per worker: cleared,
+    // never shrunk, so steady state allocates nothing per pass.
     std::vector<Job> batch;
     batch.reserve(options.maxBatch);
+    ReplyBatch replies;
     for (;;) {
         batch.clear();
         {
@@ -646,35 +666,37 @@ Server::workerLoop()
                 batch.push_back(std::move(job));
                 queue.pop_front();
             }
+            // An admission group wakes one worker; whatever this pass
+            // left behind wakes the next.
             if (queue.empty())
                 queueIdleCv.notify_all();
+            else
+                queueCv.notify_one();
         }
         // A single-job pass takes the pre-batching path so reply
         // text, counters, and fault-site behaviour stay bit-identical
         // with maxBatch == 1.
         if (batch.size() == 1)
-            runJob(batch.front());
+            runJob(batch.front(), replies);
         else
-            runBatch(batch);
+            runBatch(batch, replies);
+        flush(replies);
     }
 }
 
 void
-Server::runJob(const Job &job)
+Server::runJob(const Job &job, ReplyBatch &replies)
 {
     const EvalRequest &req = job.request;
+    LineStream &stream = *job.stream;
+    ClientState &client = *job.client;
     // Deadline check at dequeue: a request that expired while queued
     // is answered without burning solver time on it.
     if (job.deadlineAtMs > 0.0 && now() >= job.deadlineAtMs) {
-        {
-            std::lock_guard<std::mutex> lock(statsMu);
-            ++counters.deadlineExceeded;
-        }
         MS_METRIC_COUNT("serve.server.deadline_exceeded");
-        sendReply(job.stream, job.client.get(),
-                  errorReplyLine(req.id, "deadline_exceeded",
-                                 "deadline expired while queued", false),
-                  false);
+        reply(replies, stream, client, ReplyKind::Deadline,
+              errorReplyLine(req.id, "deadline_exceeded",
+                             "deadline expired while queued", false));
         return;
     }
     try {
@@ -691,43 +713,28 @@ Server::runJob(const Job &job)
         outcome.result.attempts = 1;
         outcome.result.value.emplace(
             eval.solveCancellable(req.workload, req.platform, cancel));
-        {
-            std::lock_guard<std::mutex> lock(statsMu);
-            ++counters.solved;
-            if (job.client)
-                ++job.client->counters.solved;
-        }
         staleStore(req, *outcome.result.value);
-        sendReply(job.stream, job.client.get(), resultLine(outcome),
-                  true);
+        reply(replies, stream, client, ReplyKind::Solved, outcome);
     } catch (const model::SolveCancelled &e) {
-        {
-            std::lock_guard<std::mutex> lock(statsMu);
-            ++counters.deadlineExceeded;
-        }
         MS_METRIC_COUNT("serve.server.deadline_exceeded");
-        sendReply(job.stream, job.client.get(),
-                  errorReplyLine(
-                      req.id, "deadline_exceeded",
-                      strformat("deadline expired mid-solve (%d "
-                                "iterations done)",
-                                e.iterations),
-                      false),
-                  false);
+        reply(replies, stream, client, ReplyKind::Deadline,
+              errorReplyLine(req.id, "deadline_exceeded",
+                             strformat("deadline expired mid-solve (%d "
+                                       "iterations done)",
+                                       e.iterations),
+                             false));
     } catch (const std::exception &) {
         const std::exception_ptr ep = std::current_exception();
         const ExceptionInfo info = describeException(ep);
-        sendReply(job.stream, job.client.get(),
-                  errorReplyLine(req.id, "internal",
-                                 info.type + ": " + info.message,
-                                 classifyException(ep) ==
-                                     ErrorClass::Fatal),
-                  false);
+        reply(replies, stream, client, ReplyKind::Failed,
+              errorReplyLine(req.id, "internal",
+                             info.type + ": " + info.message,
+                             classifyException(ep) == ErrorClass::Fatal));
     }
 }
 
 void
-Server::runBatch(std::vector<Job> &batch)
+Server::runBatch(std::vector<Job> &batch, ReplyBatch &replies)
 {
     // Triage at dequeue: a request that expired while queued is
     // answered immediately and never joins the evaluator batch.
@@ -738,16 +745,11 @@ Server::runBatch(std::vector<Job> &batch)
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const Job &job = batch[i];
         if (job.deadlineAtMs > 0.0 && now() >= job.deadlineAtMs) {
-            {
-                std::lock_guard<std::mutex> lock(statsMu);
-                ++counters.deadlineExceeded;
-            }
             MS_METRIC_COUNT("serve.server.deadline_exceeded");
-            sendReply(job.stream, job.client.get(),
-                      errorReplyLine(job.request.id, "deadline_exceeded",
-                                     "deadline expired while queued",
-                                     false),
-                      false);
+            reply(replies, *job.stream, *job.client,
+                  ReplyKind::Deadline,
+                  errorReplyLine(job.request.id, "deadline_exceeded",
+                                 "deadline expired while queued", false));
             continue;
         }
         // memsense-lint: allow(no-hot-loop-alloc): reserved to
@@ -757,10 +759,9 @@ Server::runBatch(std::vector<Job> &batch)
     if (live.empty())
         return;
     if (live.size() == 1) {
-        runJob(batch[live.front()]);
+        runJob(batch[live.front()], replies);
         return;
     }
-
     // Group the live jobs by request fingerprint so duplicates share
     // one solve, and derive each group's cancellation deadline: the
     // group is cancelled only when EVERY member's deadline has expired
@@ -851,11 +852,9 @@ Server::runBatch(std::vector<Job> &batch)
         const bool fatal = classifyException(ep) == ErrorClass::Fatal;
         for (std::size_t idx : live) {
             const Job &job = batch[idx];
-            sendReply(job.stream, job.client.get(),
-                      errorReplyLine(job.request.id, "internal",
-                                     info.type + ": " + info.message,
-                                     fatal),
-                      false);
+            reply(replies, *job.stream, *job.client, ReplyKind::Failed,
+                  errorReplyLine(job.request.id, "internal",
+                                 info.type + ": " + info.message, fatal));
         }
         return;
     }
@@ -874,44 +873,28 @@ Server::runBatch(std::vector<Job> &batch)
         const bool expired =
             job.deadlineAtMs > 0.0 && now() >= job.deadlineAtMs;
         if (cancelled || expired) {
-            {
-                std::lock_guard<std::mutex> lock(statsMu);
-                ++counters.deadlineExceeded;
-            }
             MS_METRIC_COUNT("serve.server.deadline_exceeded");
-            sendReply(job.stream, job.client.get(),
-                      errorReplyLine(job.request.id, "deadline_exceeded",
-                                     cancelled
-                                         ? "deadline expired mid-solve "
-                                           "(batched)"
-                                         : "deadline expired mid-batch",
-                                     false),
-                      false);
+            reply(replies, *job.stream, *job.client,
+                  ReplyKind::Deadline,
+                  errorReplyLine(job.request.id, "deadline_exceeded",
+                                 cancelled ? "deadline expired mid-solve "
+                                             "(batched)"
+                                           : "deadline expired mid-batch",
+                                 false));
             continue;
         }
         if (outcome.result.ok()) {
-            {
-                std::lock_guard<std::mutex> lock(statsMu);
-                if (outcome.cacheHit) {
-                    ++counters.cacheHits;
-                    if (job.client)
-                        ++job.client->counters.cacheHits;
-                } else {
-                    ++counters.solved;
-                    if (job.client)
-                        ++job.client->counters.solved;
-                }
-            }
             if (!outcome.cacheHit)
                 staleStore(job.request, *outcome.result.value);
-            sendReply(job.stream, job.client.get(), resultLine(outcome),
-                      true);
+            reply(replies, *job.stream, *job.client,
+                  outcome.cacheHit ? ReplyKind::Hit : ReplyKind::Solved,
+                  outcome);
             continue;
         }
         // Quarantined per-request failure: surface the typed record
         // (same shape as the batch CLI's error lines).
-        sendReply(job.stream, job.client.get(), resultLine(outcome),
-                  false);
+        reply(replies, *job.stream, *job.client, ReplyKind::Failed,
+              outcome);
     }
 }
 
@@ -940,46 +923,152 @@ Server::flushQueueAsDrained()
         MS_ENSURE(inflightBytes == 0,
                   "inflight bytes must be zero once the queue is empty");
     }
+    ReplyBatch replies;
     for (const Job &job : leftover) {
-        {
-            std::lock_guard<std::mutex> lock(statsMu);
-            ++counters.drained;
-        }
         MS_METRIC_COUNT("serve.server.drained");
-        sendReply(job.stream, job.client.get(),
-                  errorReplyLine(job.request.id, "overloaded",
-                                 "server draining", false),
-                  false);
+        reply(replies, *job.stream, *job.client, ReplyKind::Drained,
+              errorReplyLine(job.request.id, "overloaded",
+                             "server draining", false));
     }
+    flush(replies);
+}
+
+Server::ReplyBatch::Segment &
+Server::ReplyBatch::segmentFor(LineStream &stream, ClientState &client)
+{
+    for (std::size_t i = 0; i < used; ++i)
+        if (segments[i].stream == &stream)
+            return segments[i];
+    if (used == segments.size())
+        segments.emplace_back();
+    Segment &seg = segments[used++];
+    seg.stream = &stream;
+    seg.client = &client;
+    return seg;
 }
 
 void
-Server::sendReply(const std::shared_ptr<LineStream> &stream,
-                  ClientState *client, const std::string &reply_line,
-                  bool ok)
+Server::reply(ReplyBatch &replies, LineStream &stream, ClientState &client,
+              ReplyKind kind, std::string_view line)
 {
-    bool delivered = false;
+    ReplyBatch::Segment &seg = replies.segmentFor(stream, client);
+    // Reserve first, so the line and its newline land whole or not at
+    // all.
+    seg.bytes.reserve(seg.bytes.size() + line.size() + 1);
+    seg.bytes.append(line);
+    seg.bytes += '\n';
+    ++seg.kinds[static_cast<int>(kind)];
+}
+
+void
+Server::reply(ReplyBatch &replies, LineStream &stream, ClientState &client,
+              ReplyKind kind, const EvalOutcome &outcome)
+{
+    ReplyBatch::Segment &seg = replies.segmentFor(stream, client);
+    const std::size_t mark = seg.bytes.size();
     try {
-        delivered = stream->writeLine(reply_line);
-    } catch (...) { // memsense-lint: allow(no-bare-catch): last-ditch
-        // containment — a reply that cannot be rendered or written must
-        // become a counted write error, never tear down the worker
-        delivered = false;
+        appendResultLine(seg.bytes, outcome);
+        seg.bytes += '\n';
+    } catch (...) {
+        // No partial line stays behind; the caller answers the request
+        // another way.
+        seg.bytes.resize(mark);
+        throw;
     }
-    std::lock_guard<std::mutex> lock(statsMu);
-    if (!delivered) {
-        ++counters.writeErrors;
-        if (client)
-            ++client->counters.writeErrors;
-    } else if (ok) {
-        ++counters.repliesOk;
-        if (client)
-            ++client->counters.repliesOk;
-    } else {
-        ++counters.repliesError;
-        if (client)
-            ++client->counters.repliesError;
+    ++seg.kinds[static_cast<int>(kind)];
+}
+
+void
+Server::flush(ReplyBatch &replies)
+{
+    for (std::size_t i = 0; i < replies.used; ++i) {
+        ReplyBatch::Segment &seg = replies.segments[i];
+        seg.delivered = false;
+        if (seg.bytes.empty())
+            continue;
+        MS_METRIC_OBSERVE("serve.server.write_replies",
+                          static_cast<double>(std::accumulate(
+                              std::begin(seg.kinds), std::end(seg.kinds),
+                              std::uint64_t{0})));
+        try {
+            seg.delivered = seg.stream->write(seg.bytes);
+        } catch (...) { // memsense-lint: allow(no-bare-catch): last-ditch
+            // containment — replies that cannot be written must become
+            // counted write errors, never tear down the thread
+            seg.delivered = false;
+        }
     }
+    {
+        std::lock_guard<std::mutex> lock(statsMu);
+        for (std::size_t i = 0; i < replies.used; ++i) {
+            const ReplyBatch::Segment &seg = replies.segments[i];
+            ClientStats &c = seg.client->counters;
+            for (int k = 0; k < static_cast<int>(ReplyKind::Count); ++k) {
+                const std::uint64_t n = seg.kinds[k];
+                if (n == 0)
+                    continue;
+                const auto kind = static_cast<ReplyKind>(k);
+                switch (kind) {
+                  case ReplyKind::Hit:
+                    counters.cacheHits += n;
+                    c.cacheHits += n;
+                    break;
+                  case ReplyKind::Solved:
+                    counters.solved += n;
+                    c.solved += n;
+                    break;
+                  case ReplyKind::Stale:
+                    counters.staleServed += n;
+                    counters.shed += n;
+                    c.shed += n;
+                    break;
+                  case ReplyKind::Shed:
+                    counters.shed += n;
+                    c.shed += n;
+                    break;
+                  case ReplyKind::QuotaShed:
+                    counters.quotaShed += n;
+                    c.quotaShed += n;
+                    break;
+                  case ReplyKind::Deadline:
+                    counters.deadlineExceeded += n;
+                    break;
+                  case ReplyKind::ParseError:
+                    counters.parseErrors += n;
+                    break;
+                  case ReplyKind::Drained:
+                    counters.drained += n;
+                    break;
+                  case ReplyKind::Failed:
+                  case ReplyKind::Count:
+                    break;
+                }
+                // The ledger: a reply on a failed write is a write
+                // error, whatever it said.
+                const bool ok = kind == ReplyKind::Hit ||
+                                kind == ReplyKind::Solved ||
+                                kind == ReplyKind::Stale;
+                if (!seg.delivered) {
+                    counters.writeErrors += n;
+                    c.writeErrors += n;
+                } else if (ok) {
+                    counters.repliesOk += n;
+                    c.repliesOk += n;
+                } else {
+                    counters.repliesError += n;
+                    c.repliesError += n;
+                }
+            }
+        }
+    }
+    for (std::size_t i = 0; i < replies.used; ++i) {
+        ReplyBatch::Segment &seg = replies.segments[i];
+        seg.stream = nullptr;
+        seg.client = nullptr;
+        seg.bytes.clear();
+        std::fill(std::begin(seg.kinds), std::end(seg.kinds), 0u);
+    }
+    replies.used = 0;
 }
 
 std::optional<model::OperatingPoint>

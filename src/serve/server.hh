@@ -39,6 +39,15 @@
  *     each request is re-checked after the solve so one whose deadline
  *     expired mid-batch still gets `deadline_exceeded`.
  *
+ *  2c. Bursts, not requests, are the unit of I/O. A reader pass is the
+ *     run of lines readable without waiting (at most `maxBatch`); its
+ *     cold misses are admitted as one group (one queueMu acquisition,
+ *     one wake-up, each line still decided on its own, in order) and
+ *     its inline replies are flushed as one write before the reader
+ *     could block. A worker flushes each pass's replies the same way.
+ *     A flush counts all its replies under one statsMu acquisition; a
+ *     failed write makes each of its replies a write error.
+ *
  *  3. Deadlines are cooperative and injectable. A request's
  *     `deadline_ms` budget starts at admission; workers check it when
  *     dequeuing and the solver polls it between bisection iterations
@@ -73,6 +82,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -261,24 +271,102 @@ class Server
         double deadlineAtMs = 0.0; ///< absolute, 0 = none
     };
 
+    /** What a reply says; it decides which counters the reply moves
+     *  (see flush). */
+    enum class ReplyKind : std::uint8_t
+    {
+        Hit,        ///< ok: answered from the cache
+        Solved,     ///< ok: full solve
+        Stale,      ///< ok: degraded answer to a shed request
+        Shed,       ///< `overloaded` from admission control
+        QuotaShed,  ///< `quota_exceeded`
+        Deadline,   ///< `deadline_exceeded`
+        ParseError, ///< the line never parsed
+        Drained,    ///< `overloaded` at shutdown
+        Failed,     ///< any other error reply
+        Count,
+    };
+
+    /**
+     * The replies of one reader or worker pass, grouped per connection.
+     * flush() writes each connection's replies with one write and
+     * counts all of them under one statsMu acquisition. One thread owns
+     * a batch and passes it explicitly. It holds raw pointers: every
+     * pass flushes before the jobs or the connection that own its
+     * streams and clients go away. Buffers keep their capacity across
+     * passes.
+     */
+    struct ReplyBatch
+    {
+        struct Segment
+        {
+            LineStream *stream = nullptr;
+            ClientState *client = nullptr; ///< the stream's connection
+            std::string bytes; ///< framed reply lines
+            std::uint32_t kinds[static_cast<int>(ReplyKind::Count)] = {};
+            bool delivered = false;
+        };
+        std::vector<Segment> segments; ///< [0, used) hold replies
+        std::size_t used = 0;
+
+        /** The segment collecting @p stream's replies. */
+        Segment &segmentFor(LineStream &stream, ClientState &client);
+    };
+
+    /** Admission verdict of one cold miss, with the occupancy its
+     *  shed reply reports. */
+    struct Verdict
+    {
+        bool queued = false;
+        bool quota = false;     ///< shed by the client's own quota
+        std::size_t depth = 0;  ///< jobs queued (the client's if quota)
+        std::size_t bytes = 0;  ///< bytes queued (the client's if quota)
+    };
+
+    /** One reader pass: the lines read without waiting for input, at
+     *  most maxBatch of them (see readLoop). */
+    struct ReaderPass
+    {
+        std::size_t lines = 0;  ///< accepted lines, owed a reply each
+        std::vector<Job> cold;  ///< cache misses awaiting admission
+        std::vector<Verdict> verdicts; ///< admit()'s scratch, per miss
+        ReplyBatch replies;
+    };
+
     void acceptLoop(Transport *transport);
     void readLoop(std::shared_ptr<LineStream> stream,
                   std::shared_ptr<ClientState> client);
     void workerLoop();
-    void handleLine(const std::shared_ptr<LineStream> &stream,
+    void handleLine(ReaderPass &pass,
+                    const std::shared_ptr<LineStream> &stream,
                     const std::shared_ptr<ClientState> &client,
                     const std::string &line, std::size_t line_number);
-    void runJob(const Job &job);
+    /** Count the pass's lines as accepted, admit its cold misses as
+     *  one group, and flush its replies. */
+    void endPass(ReaderPass &pass, ClientState &client);
+    /** Admit one pass's cold misses as a group: each gets today's
+     *  decision, in line order, under one queueMu acquisition and with
+     *  one wake-up. Sheds reply into the pass; empties pass.cold. */
+    void admit(ReaderPass &pass, ClientState &client);
+    void runJob(const Job &job, ReplyBatch &replies);
     /** Solve a worker pass of >= 2 jobs via Evaluator::evaluateBatch
      *  (dedup + shared-group cancellation + per-request deadline
      *  recheck); single-job passes take runJob's unchanged path. */
-    void runBatch(std::vector<Job> &batch);
+    void runBatch(std::vector<Job> &batch, ReplyBatch &replies);
     void flushQueueAsDrained();
-    /** Write one reply; counts ok/error/writeError per the ledger,
-     *  globally and on @p client when one is attached. */
-    void sendReply(const std::shared_ptr<LineStream> &stream,
-                   ClientState *client, const std::string &reply_line,
-                   bool ok);
+    /** Queue one reply line in @p replies (framed on the way in). */
+    void reply(ReplyBatch &replies, LineStream &stream,
+               ClientState &client, ReplyKind kind,
+               std::string_view line);
+    /** Queue resultLine(@p outcome), serialized straight into the
+     *  batch. */
+    void reply(ReplyBatch &replies, LineStream &stream,
+               ClientState &client, ReplyKind kind,
+               const EvalOutcome &outcome);
+    /** Write every connection's replies once, then count them all
+     *  under one statsMu acquisition: per the ledger, a reply on a
+     *  failed write is a write error. Empties @p replies. */
+    void flush(ReplyBatch &replies);
     double now() const;
 
     /** Coarse stale-answer cache (see allowStale). */

@@ -39,19 +39,23 @@ class FdLineStream : public LineStream
             // Serve a complete line already buffered before touching
             // the descriptor again. The byte cap applies to complete
             // lines too — a hostile line that fits in one read chunk
-            // must not bypass it.
-            const std::size_t nl = buffer.find('\n');
+            // must not bypass it. Lines are consumed by advancing
+            // `head`, so a read chunk of many lines is not shifted
+            // down once per line.
+            const std::size_t nl = buffer.find('\n', head);
             if (nl != std::string::npos) {
-                if (nl > limits.maxLineBytes) {
-                    buffer.erase(0, nl + 1);
+                if (nl - head > limits.maxLineBytes) {
+                    head = nl + 1;
                     return Read::TooLong;
                 }
-                out.assign(buffer, 0, nl);
+                out.assign(buffer, head, nl - head);
                 if (!out.empty() && out.back() == '\r')
                     out.pop_back();
-                buffer.erase(0, nl + 1);
+                head = nl + 1;
                 return Read::Line;
             }
+            buffer.erase(0, head);
+            head = 0;
             if (buffer.size() > limits.maxLineBytes) {
                 buffer.clear();
                 return Read::TooLong;
@@ -84,15 +88,19 @@ class FdLineStream : public LineStream
     }
 
     bool
-    writeLine(const std::string &line) override
+    lineReady() override
+    {
+        return buffer.find('\n', head) != std::string::npos;
+    }
+
+    bool
+    write(std::string_view framed) override
     {
         std::lock_guard<std::mutex> lock(writeMu);
         if (down.load(std::memory_order_acquire))
             return false;
-        // One contiguous buffer per reply: interleaving-safe under the
+        // One contiguous buffer per call: interleaving-safe under the
         // lock and exactly one write syscall in the common case.
-        std::string framed = line;
-        framed.push_back('\n');
         try {
             MS_FAULT_POINT("server.write");
             return net::writeAll(writeFd, framed.data(), framed.size());
@@ -115,6 +123,8 @@ class FdLineStream : public LineStream
     Read
     drainTail(std::string &out)
     {
+        buffer.erase(0, head);
+        head = 0;
         if (buffer.empty())
             return Read::Eof;
         out = std::move(buffer);
@@ -131,6 +141,7 @@ class FdLineStream : public LineStream
     StreamLimits limits;
     std::string peerLabel;
     std::string buffer;
+    std::size_t head = 0; ///< bytes of `buffer` already returned
     std::mutex writeMu;
     std::atomic<bool> down{false};
     net::PipePair wake;
@@ -166,8 +177,10 @@ class InProcessStream : public LineStream
         return fromPeer->pop(out, timeout_ms);
     }
 
+    bool lineReady() override { return fromPeer->ready(); }
+
     bool
-    writeLine(const std::string &line) override
+    write(std::string_view framed) override
     {
         std::lock_guard<std::mutex> lock(writeMu);
         try {
@@ -175,13 +188,7 @@ class InProcessStream : public LineStream
         } catch (const std::exception &) {
             return false;
         }
-        {
-            std::lock_guard<std::mutex> plock(toPeer->mu);
-            if (toPeer->closed)
-                return false;
-        }
-        toPeer->push(line);
-        return true;
+        return toPeer->push(framed);
     }
 
     void
@@ -266,16 +273,33 @@ class SocketTransport : public Transport
 namespace detail
 {
 
-void
-LinePipe::push(std::string line)
+bool
+LinePipe::push(std::string_view bytes)
 {
     {
         std::lock_guard<std::mutex> lock(mu);
         if (closed)
-            return;
-        lines.push_back(std::move(line));
+            return false;
+        while (!bytes.empty()) {
+            const std::size_t nl = bytes.find('\n');
+            const std::size_t len =
+                nl == std::string_view::npos ? bytes.size() : nl;
+            // memsense-lint: allow(no-hot-loop-alloc): each line is a
+            // message handed over to the peer
+            lines.emplace_back(bytes.substr(0, len));
+            bytes.remove_prefix(
+                nl == std::string_view::npos ? len : len + 1);
+        }
     }
     cv.notify_one();
+    return true;
+}
+
+bool
+LinePipe::ready()
+{
+    std::lock_guard<std::mutex> lock(mu);
+    return !lines.empty();
 }
 
 void
@@ -440,16 +464,12 @@ class InProcessClientStream : public LineStream
         return toClient->pop(out, timeout_ms);
     }
 
+    bool lineReady() override { return toClient->ready(); }
+
     bool
-    writeLine(const std::string &line) override
+    write(std::string_view framed) override
     {
-        {
-            std::lock_guard<std::mutex> lock(toServer->mu);
-            if (toServer->closed)
-                return false;
-        }
-        toServer->push(line);
-        return true;
+        return toServer->push(framed);
     }
 
     void

@@ -7,10 +7,14 @@
  *
  *  - LineStream: one connected peer. readLine() is called by exactly
  *    one reader thread with a bounded timeout (so shutdown can always
- *    interrupt it); writeLine() is thread-safe, because worker threads
- *    and the reader thread both reply on the same stream. Oversized
- *    lines surface as Read::TooLong instead of unbounded buffering —
- *    a hostile peer cannot make the server allocate without limit.
+ *    interrupt it); lineReady() tells that reader whether the next
+ *    readLine() would return without waiting, which is when the server
+ *    ends a burst of requests and flushes its replies. write() takes
+ *    framed bytes — one or more newline-terminated reply lines — and
+ *    is thread-safe, because worker threads and the reader thread both
+ *    reply on the same stream. Oversized lines surface as
+ *    Read::TooLong instead of unbounded buffering — a hostile peer
+ *    cannot make the server allocate without limit.
  *
  *  - Transport: one listening endpoint producing LineStreams. accept()
  *    also takes a timeout; shutdownTransport() wakes any blocked
@@ -33,6 +37,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "util/socket.hh"
 
@@ -62,10 +67,19 @@ class LineStream
     virtual Read readLine(std::string &out, int timeout_ms) = 0;
 
     /**
-     * Write one reply line (newline appended). Thread-safe. Returns
+     * True when a complete line is already buffered, so the next
+     * readLine() returns it without waiting for input. Reader thread
+     * only.
+     */
+    virtual bool lineReady() = 0;
+
+    /**
+     * Write @p framed: one or more complete lines, each ending in a
+     * newline, as one contiguous write (one syscall in the common
+     * case). Thread-safe; concurrent writes never interleave. Returns
      * false once the peer is unreachable; callers count, not throw.
      */
-    virtual bool writeLine(const std::string &line) = 0;
+    virtual bool write(std::string_view framed) = 0;
 
     /** Unblock any in-flight readLine and fail future I/O. */
     virtual void shutdownStream() = 0;
@@ -143,7 +157,11 @@ struct LinePipe
     std::deque<std::string> lines;
     bool closed = false;
 
-    void push(std::string line);
+    /** Push each line of @p bytes under one lock (the last line needs
+     *  no newline); false when the pipe is closed. */
+    bool push(std::string_view bytes);
+    /** True when a line is waiting to be popped. */
+    bool ready();
     void close();
     /** Pop with timeout: Line / Idle / Eof semantics of LineStream. */
     LineStream::Read pop(std::string &out, int timeout_ms);

@@ -132,11 +132,12 @@ TEST(AllocationGuard, RequestParseAllocatesOnlyItsDocument)
     serve::EvalRequest req;
     const std::size_t allocations =
         allocationsOf([&] { req = serve::parseRequestLine(line, 1); });
-    // The parsed document (member vectors, the long id and its copy)
-    // stays within one allocation per member; an error message built
-    // on the passing path costs one more per field read and breaks
-    // this bound.
-    EXPECT_LE(allocations, 10u);
+    // The parsed document costs the parse's member scratch stack, one
+    // exactly-sized member array per object (three here), the long id
+    // and its copy; an error message built on the passing path costs
+    // one more per field read and breaks this bound, and so does a
+    // member array that regrows.
+    EXPECT_LE(allocations, 6u);
     EXPECT_EQ(req.platform.memory.channels, 4);
     EXPECT_EQ(req.id, "sweep-000123-latency_ns");
 }

@@ -86,7 +86,7 @@ struct ScriptedServer
             for (auto &s : streams) {
                 std::string line;
                 while (s->readLine(line, 1) == LineStream::Read::Line) {
-                    s->writeLine(script[cursor % script.size()]);
+                    s->write(script[cursor % script.size()] + "\n");
                     ++cursor;
                 }
             }

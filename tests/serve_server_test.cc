@@ -790,6 +790,98 @@ TEST_F(ServeServerTest, CoarseStaleKeyCanonicalizesFloatEdgeCases)
 }
 
 // ---------------------------------------------------------------------
+// Burst I/O: one write per reply batch, one admission group per pass.
+
+/** @p lines framed as one burst, for a single LineStream::write. */
+std::string
+framedBurst(const std::vector<std::string> &lines)
+{
+    std::string out;
+    for (const std::string &line : lines)
+        out += line + "\n";
+    return out;
+}
+
+TEST_F(ServeServerTest, FailedCoalescedFlushCountsEveryReplyAsAWriteError)
+{
+    TestServer ts(testOptions());
+    InProcessClient client = ts.transport->connect();
+    client.send(coldRequest("warm", 100.0));
+    EXPECT_NE(mustRecv(client).find("\"ok\":true"), std::string::npos);
+    // Eight cache hits in one burst: one reader pass, one flush, one
+    // write. Failing that write loses all eight replies, and the
+    // ledger must say so.
+    std::vector<std::string> hits;
+    for (int i = 0; i < 8; ++i)
+        hits.push_back(coldRequest(("h" + std::to_string(i)).c_str(),
+                                   100.0));
+    fault::configure("server.write:throw:nth=1");
+    ASSERT_TRUE(client.asStream()->write(framedBurst(hits)));
+    ASSERT_TRUE(spinUntil([&ts] {
+        return ts.server->stats().writeErrors >= 8;
+    })) << ts.server->stats().describe();
+    ts.server->stop();
+    const ServerStats stats = ts.server->stats();
+    EXPECT_EQ(fault::fireCount("server.write"), 1u);
+    EXPECT_EQ(stats.accepted, 9u);
+    EXPECT_EQ(stats.cacheHits, 8u);
+    EXPECT_EQ(stats.writeErrors, 8u);
+    EXPECT_EQ(stats.repliesOk, 1u);
+    EXPECT_TRUE(stats.consistent()) << stats.describe();
+    std::string line;
+    EXPECT_EQ(client.recv(line, 50), LineStream::Read::Eof) << line;
+}
+
+TEST_F(ServeServerTest, BurstIsAdmittedOrShedInLineOrder)
+{
+    ServerOptions opts = testOptions();
+    opts.workers = 1;
+    opts.maxQueueDepth = 4;
+    TestServer ts(opts);
+    fault::configure("server.solve:delay=400:count=1");
+    InProcessClient client = ts.transport->connect();
+    client.send(coldRequest("busy", 110.0));
+    ASSERT_TRUE(spinUntil([] {
+        return fault::fireCount("server.solve") >= 1;
+    })) << "worker never picked up the blocking request";
+    // Eight distinct cold lines in one burst, twice the queue bound:
+    // one admission group, decided line by line in order.
+    std::vector<std::string> burst;
+    for (int i = 0; i < 8; ++i)
+        burst.push_back(coldRequest(("q" + std::to_string(i)).c_str(),
+                                    111.0 + i));
+    ASSERT_TRUE(client.asStream()->write(framedBurst(burst)));
+    std::vector<std::string> replies;
+    for (int i = 0; i < 9; ++i)
+        replies.push_back(mustRecv(client));
+    std::string extra;
+    EXPECT_EQ(client.recv(extra, 50), LineStream::Read::Idle) << extra;
+    for (int i = 0; i < 8; ++i) {
+        const std::string id = "\"id\":\"q" + std::to_string(i) + "\"";
+        int seen = 0;
+        for (const std::string &r : replies) {
+            if (r.find(id) == std::string::npos)
+                continue;
+            ++seen;
+            if (i < 4) {
+                EXPECT_NE(r.find("\"ok\":true"), std::string::npos) << r;
+            } else {
+                EXPECT_NE(r.find("\"type\":\"overloaded\""),
+                          std::string::npos)
+                    << r;
+            }
+        }
+        EXPECT_EQ(seen, 1) << "q" << i;
+    }
+    ts.server->stop();
+    const ServerStats stats = ts.server->stats();
+    EXPECT_EQ(stats.accepted, 9u);
+    EXPECT_EQ(stats.shed, 4u);
+    EXPECT_EQ(stats.solved, 5u);
+    EXPECT_TRUE(stats.consistent()) << stats.describe();
+}
+
+// ---------------------------------------------------------------------
 // Socket transports. These bind real sockets, so they skip (rather
 // than fail) when the sandbox forbids it.
 
@@ -797,7 +889,7 @@ std::string
 socketRoundTrip(Server &server, std::unique_ptr<LineStream> stream,
                 const std::string &request)
 {
-    EXPECT_TRUE(stream->writeLine(request));
+    EXPECT_TRUE(stream->write(request + "\n"));
     std::string reply;
     EXPECT_EQ(stream->readLine(reply, 5000), LineStream::Read::Line);
     stream->shutdownStream();
@@ -853,20 +945,108 @@ TEST_F(ServeServerTest, UnixSocketRoundTripAndLineCap)
     StreamLimits client_limits;
     auto stream = makeSocketStream(net::connectUnix(path),
                                    client_limits, "test-client");
-    ASSERT_TRUE(stream->writeLine(coldRequest("ux", 81.0)));
+    ASSERT_TRUE(stream->write(coldRequest("ux", 81.0) + "\n"));
     std::string reply;
     ASSERT_EQ(stream->readLine(reply, 5000), LineStream::Read::Line);
     EXPECT_NE(reply.find("\"ok\":true"), std::string::npos) << reply;
     // A line past the cap draws a ConfigError reply, then EOF.
-    ASSERT_TRUE(stream->writeLine(
+    ASSERT_TRUE(stream->write(
         "{\"id\":\"big\",\"workload\":{\"name\":\"" +
-        std::string(600, 'x') + "\"}}"));
+        std::string(600, 'x') + "\"}}\n"));
     ASSERT_EQ(stream->readLine(reply, 5000), LineStream::Read::Line);
     EXPECT_NE(reply.find("exceeds"), std::string::npos) << reply;
     EXPECT_EQ(stream->readLine(reply, 5000), LineStream::Read::Eof);
     stream->shutdownStream();
     server.stop();
     EXPECT_TRUE(server.stats().consistent());
+}
+
+/** Unix-socket server for one test; empty when binding is refused. */
+std::unique_ptr<Server>
+unixServer(const std::string &path, ServerOptions opts)
+{
+    net::Listener listener;
+    try {
+        listener = net::listenUnix(path);
+    } catch (const ConfigError &) {
+        return nullptr;
+    }
+    auto server = std::make_unique<Server>(std::move(opts));
+    server->addTransport(
+        makeSocketTransport(std::move(listener), StreamLimits{}));
+    server->start();
+    return server;
+}
+
+TEST_F(ServeServerTest, BurstOfHitsIsWrittenInOneWritePerPass)
+{
+    const std::string path =
+        ::testing::TempDir() + "memsense_server_burst.sock";
+    ServerOptions opts = testOptions();
+    auto server = unixServer(path, opts);
+    if (!server)
+        GTEST_SKIP() << "cannot bind a Unix socket here";
+    auto stream =
+        makeSocketStream(net::connectUnix(path), StreamLimits{}, "client");
+    ASSERT_TRUE(stream->write(coldRequest("warm", 120.0) + "\n"));
+    std::string reply;
+    ASSERT_EQ(stream->readLine(reply, 5000), LineStream::Read::Line);
+    // Count writes under an inert spec: nothing fires, every write
+    // through a LineStream (the client's burst included) is a hit.
+    fault::configure("server.write:throw:p=0");
+    constexpr std::size_t kLines = 32;
+    std::vector<std::string> hits;
+    for (std::size_t i = 0; i < kLines; ++i)
+        hits.push_back(coldRequest(("h" + std::to_string(i)).c_str(),
+                                   120.0));
+    ASSERT_TRUE(stream->write(framedBurst(hits)));
+    for (std::size_t i = 0; i < kLines; ++i) {
+        ASSERT_EQ(stream->readLine(reply, 5000), LineStream::Read::Line)
+            << "reply " << i;
+        EXPECT_NE(reply.find("\"ok\":true"), std::string::npos) << reply;
+    }
+    // The client's one write, plus one per reader pass of at most
+    // maxBatch lines.
+    const std::size_t passes = (kLines + opts.maxBatch - 1) / opts.maxBatch;
+    EXPECT_LE(fault::hitCount("server.write"), passes + 1);
+    EXPECT_EQ(fault::fireCount("server.write"), 0u);
+    stream->shutdownStream();
+    server->stop();
+    const ServerStats stats = server->stats();
+    EXPECT_EQ(stats.cacheHits, kLines);
+    EXPECT_TRUE(stats.consistent()) << stats.describe();
+}
+
+TEST_F(ServeServerTest, ClosedLoopClientNeverWaitsOnAnUnflushedReply)
+{
+    const std::string path =
+        ::testing::TempDir() + "memsense_server_closed_loop.sock";
+    auto server = unixServer(path, testOptions());
+    if (!server)
+        GTEST_SKIP() << "cannot bind a Unix socket here";
+    auto stream =
+        makeSocketStream(net::connectUnix(path), StreamLimits{}, "client");
+    // One line at a time, each waiting for its reply: alternating cold
+    // solves (worker flush) and repeats of them (reader flush). The
+    // budget is far below what any poll or linger could add, so a
+    // reply held back until more input arrived would time out here.
+    std::string reply;
+    for (int i = 0; i < 20; ++i) {
+        const double mpki = 130.0 + (i / 2);
+        const std::string id = "c" + std::to_string(i);
+        ASSERT_TRUE(stream->write(coldRequest(id.c_str(), mpki) + "\n"));
+        ASSERT_EQ(stream->readLine(reply, 2000), LineStream::Read::Line)
+            << "request " << i;
+        EXPECT_NE(reply.find("\"id\":\"" + id + "\""), std::string::npos)
+            << reply;
+        EXPECT_NE(reply.find("\"ok\":true"), std::string::npos) << reply;
+    }
+    stream->shutdownStream();
+    server->stop();
+    const ServerStats stats = server->stats();
+    EXPECT_EQ(stats.solved, 10u);
+    EXPECT_EQ(stats.cacheHits, 10u);
+    EXPECT_TRUE(stats.consistent()) << stats.describe();
 }
 
 } // anonymous namespace

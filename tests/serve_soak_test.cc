@@ -9,7 +9,9 @@
  *
  *  - the run terminates (no hang) and nothing crashes;
  *  - the server ledger stays consistent — every accepted request got
- *    exactly one reply or one counted write failure;
+ *    exactly one reply or one counted write failure — and no live
+ *    snapshot during the storm shows more replies than accepted
+ *    requests;
  *  - the loadgen classified every request it sent;
  *  - after fault::reset(), a clean control batch is all-ok on the same
  *    server instance (no lingering poisoned state).
@@ -17,8 +19,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "serve/loadgen.hh"
 #include "serve/server.hh"
@@ -78,7 +84,27 @@ TEST_F(ServeSoakTest, SurvivesMixedFaultStormAndStaysConsistent)
     load.reconnect.baseDelayMs = 1.0;
     load.reconnect.maxDelayMs = 10.0;
     Dialer dial = [transport] { return transport->connect().asStream(); };
+    // A live snapshot may trail the traffic, but it never shows more
+    // replies than accepted requests: a pass is accepted before any of
+    // its replies is counted.
+    std::atomic<bool> storming{true};
+    std::atomic<std::uint64_t> snapshots{0};
+    std::atomic<std::uint64_t> overdrawn{0};
+    std::thread watcher([&] {
+        while (storming.load()) {
+            const ServerStats live = server.stats();
+            if (live.repliesOk + live.repliesError + live.writeErrors >
+                live.accepted)
+                overdrawn.fetch_add(1);
+            snapshots.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+    });
     const LoadReport storm = runLoadgen(dial, load);
+    storming = false;
+    watcher.join();
+    EXPECT_GT(snapshots.load(), 0u);
+    EXPECT_EQ(overdrawn.load(), 0u);
 
     // Survival: everything sent was classified; the loadgen did not
     // hang or lose requests.
