@@ -1,9 +1,6 @@
 #include "model/fingerprint.hh"
 
 #include <bit>
-#include <charconv>
-
-#include "util/hash.hh"
 
 namespace memsense::model
 {
@@ -11,152 +8,59 @@ namespace memsense::model
 namespace
 {
 
-/** Append the bit-exact double encoding: 16 hex IEEE-754 digits. */
-void
-appendBits(std::string &out, double v)
+/** A double's IEEE-754 bit pattern. */
+std::uint64_t
+word(double x)
 {
-    appendHex64(out, std::bit_cast<std::uint64_t>(v));
+    return std::bit_cast<std::uint64_t>(x);
 }
 
-/** Append a ";name=" label followed by a bit-exact double. */
-void
-appendField(std::string &out, const char *label, double v)
+/** An int, sign-extended to 64 bits. */
+std::uint64_t
+word(int n)
 {
-    out += label;
-    appendBits(out, v);
+    return static_cast<std::uint64_t>(std::int64_t{n});
 }
 
-/** Append a label followed by a base-10 integer, allocation-free. */
-void
-appendInt(std::string &out, const char *label, int v)
+/** MurmurHash3's 64-bit finalizer: a full avalanche of @p k. */
+std::uint64_t
+fmix64(std::uint64_t k)
 {
-    out += label;
-    char buf[16];
-    auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    out.append(buf, static_cast<std::size_t>(res.ptr - buf));
-}
-
-/** Body of canonicalKey(WorkloadParams), in append style. */
-void
-appendWorkloadKey(std::string &out, const WorkloadParams &p)
-{
-    appendField(out, "w:cpi=", p.cpiCache);
-    appendField(out, ";bf=", p.bf);
-    appendField(out, ";mpki=", p.mpki);
-    appendField(out, ";wbr=", p.wbr);
-    appendField(out, ";iopi=", p.iopi);
-    appendField(out, ";iob=", p.ioBytes);
-}
-
-/** Body of canonicalKey(Platform), in append style. */
-void
-appendPlatformKey(std::string &out, const Platform &plat)
-{
-    appendInt(out, "p:cores=", plat.cores);
-    appendInt(out, ";smt=", plat.smt);
-    appendField(out, ";ghz=", plat.ghz);
-    appendInt(out, ";ch=", plat.memory.channels);
-    appendField(out, ";mt=", plat.memory.megaTransfers);
-    appendField(out, ";eff=", plat.memory.efficiency);
-    appendField(out, ";lat=", plat.memory.compulsoryNs);
+    k ^= k >> 33;
+    k *= 0xff51afd7ed558ccdULL;
+    k ^= k >> 33;
+    k *= 0xc4ceb9fe1a85ec53ULL;
+    k ^= k >> 33;
+    return k;
 }
 
 } // anonymous namespace
 
-std::string
-canonicalKey(const WorkloadParams &p)
+std::uint64_t
+RequestKey::hash() const
 {
-    // Built with append (no operator+ temporaries): this runs on the
-    // solve-cache hit path, once per lookup.
-    std::string key;
-    key.reserve(128);
-    appendWorkloadKey(key, p);
-    return key;
-}
-
-std::string
-canonicalKey(const Platform &plat)
-{
-    std::string key;
-    key.reserve(160);
-    appendPlatformKey(key, plat);
-    return key;
-}
-
-std::string
-canonicalKey(const QueuingModel &qm)
-{
-    std::string key;
-    appendField(key, "q:max=", qm.maxStableUtilization());
-    key += ";meas=";
-    key += qm.isMeasured() ? '1' : '0';
-    key += ";knots=";
-    const stats::PiecewiseCurve &curve = qm.curve();
-    for (std::size_t i = 0; i < curve.size(); ++i) {
-        const stats::CurvePoint &k = curve.knot(i);
-        appendBits(key, k.x);
-        key += ',';
-        appendBits(key, k.y);
-        key += ';';
+    std::uint64_t h = 0;
+    for (std::uint64_t k : words) {
+        k *= 0x87c37b91114253d5ULL;
+        k = std::rotl(k, 31);
+        k *= 0x4cf5ad432745937fULL;
+        h ^= k;
+        h = std::rotl(h, 27) * 5 + 0x52dce729;
     }
-    return key;
+    return fmix64(h ^ sizeof(words));
 }
 
-std::string
-canonicalKey(const SolverOptions &opts)
+RequestKey
+requestKey(const WorkloadParams &p, const Platform &plat)
 {
-    std::string key = "s:iter=";
-    key += std::to_string(opts.maxIterations);
-    appendField(key, ";tol=", opts.tolerance);
-    appendField(key, ";damp=", opts.damping);
-    return key;
-}
-
-std::string
-canonicalRequestKey(const WorkloadParams &p, const Platform &plat)
-{
-    std::string key;
-    appendCanonicalRequestKey(key, p, plat);
-    return key;
-}
-
-void
-appendCanonicalRequestKey(std::string &out, const WorkloadParams &p,
-                          const Platform &plat)
-{
-    out.reserve(out.size() + 320);
-    appendWorkloadKey(out, p);
-    out += '|';
-    appendPlatformKey(out, plat);
-}
-
-std::uint64_t
-requestFingerprint(const WorkloadParams &p, const Platform &plat,
-                   std::uint64_t seed)
-{
-    // Hashes the same fields, in the same order, as
-    // canonicalRequestKey() — but over the raw bit patterns instead of
-    // the hex text, pushing ~3x fewer bytes through the FNV loop on
-    // the solve-cache probe path. The canonical text stays the
-    // collision-proof identity; this is only the bucket index.
-    Fnv1a h;
-    h.add(seed);
-    h.add(p.cpiCache).add(p.bf).add(p.mpki);
-    h.add(p.wbr).add(p.iopi).add(p.ioBytes);
-    h.add(plat.cores).add(plat.smt).add(plat.ghz);
-    h.add(plat.memory.channels).add(plat.memory.megaTransfers);
-    h.add(plat.memory.efficiency).add(plat.memory.compulsoryNs);
-    return h.value();
-}
-
-std::uint64_t
-solverFingerprint(const Solver &solver)
-{
-    Fnv1a h;
-    h.add(canonicalKey(solver.queuing()));
-    h.add(std::string("|"));
-    h.add(canonicalKey(solver.options()));
-    return h.value();
+    const MemoryConfig &mem = plat.memory;
+    return RequestKey{{
+        word(p.cpiCache), word(p.bf), word(p.mpki), word(p.wbr),
+        word(p.iopi), word(p.ioBytes),
+        word(plat.cores), word(plat.smt), word(plat.ghz),
+        word(mem.channels), word(mem.megaTransfers),
+        word(mem.efficiency), word(mem.compulsoryNs),
+    }};
 }
 
 } // namespace memsense::model

@@ -1,84 +1,60 @@
 /**
  * @file
- * Canonical fingerprints of model evaluation requests.
+ * Binary identity of model evaluation requests.
  *
  * The serving layer (src/serve) memoizes solver results keyed on the
  * exact inputs that determine an operating point: the workload's
- * numeric parameters, the platform, the queuing curve, and the solver
- * tuning knobs. This file defines the canonical encoding of those
- * inputs — every double contributes its IEEE-754 bit pattern, so two
- * requests share a key iff they are bit-identical inputs to the
- * solver — and the 64-bit FNV-1a fingerprint over it.
+ * numeric parameters and the platform. RequestKey holds those 13
+ * inputs as raw 64-bit words — every double as its IEEE-754 bit
+ * pattern, every int sign-extended — and compares them bitwise, so two
+ * requests share a key iff they are bit-identical inputs to the solver
+ * (note -0.0 and 0.0 therefore differ). RequestKey::hash() folds the
+ * words into the 64-bit fingerprint that picks a cache shard and
+ * bucket.
  *
  * Deliberately excluded: WorkloadParams::name and ::cls. They label a
  * request but do not enter Eq. 1/Eq. 4, so two differently-named
- * requests with identical numbers share one cache entry.
+ * requests with identical numbers share one cache entry. The solver
+ * (queuing curve and options) is not part of the key either: a cache
+ * that memoizes one solver's answers must not be shared with another
+ * (serve::Evaluator owns exactly one of each).
  *
- * FNV-1a is not collision-free; consumers that cannot tolerate a
- * collision must compare canonicalRequestKey() text before trusting a
- * fingerprint match (the serve cache does exactly that).
+ * The hash is not collision-free; consumers that cannot tolerate a
+ * collision compare the full key before trusting a fingerprint match
+ * (the serve cache does exactly that).
  */
 
 #ifndef MEMSENSE_MODEL_FINGERPRINT_HH
 #define MEMSENSE_MODEL_FINGERPRINT_HH
 
+#include <array>
 #include <cstdint>
-#include <string>
 
 #include "model/params.hh"
 #include "model/platform.hh"
-#include "model/queuing.hh"
-#include "model/solver.hh"
 
 namespace memsense::model
 {
 
-/** Canonical encoding of the numeric workload parameters. */
-std::string canonicalKey(const WorkloadParams &p);
+/** The solver inputs of one request, bit for bit (see file comment). */
+struct RequestKey
+{
+    /** cpi_cache, bf, mpki, wbr, iopi, io_bytes; cores, smt, ghz,
+     *  channels, speed, efficiency, latency — in that order. */
+    std::array<std::uint64_t, 13> words{};
 
-/** Canonical encoding of the platform (cores, clock, memory). */
-std::string canonicalKey(const Platform &plat);
+    /**
+     * Word-at-a-time 64-bit hash (the MurmurHash3 block mix) ending in
+     * the fmix64 avalanche, so every output bit — including the low
+     * bits that pick a cache shard — depends on every input bit.
+     */
+    std::uint64_t hash() const;
 
-/** Canonical encoding of a queuing model (knots, cap, origin). */
-std::string canonicalKey(const QueuingModel &qm);
+    bool operator==(const RequestKey &) const = default;
+};
 
-/** Canonical encoding of the solver tuning knobs. */
-std::string canonicalKey(const SolverOptions &opts);
-
-/**
- * Canonical encoding of one full evaluation request:
- * workload | platform fields, in fixed documented order. The solver
- * configuration is not included — append solverFingerprint() (or keep
- * one cache per solver) when caching across solver configurations.
- */
-std::string canonicalRequestKey(const WorkloadParams &p,
-                                const Platform &plat);
-
-/**
- * Append canonicalRequestKey(@p p, @p plat) to @p out. The solve-cache
- * probe path clears and refills one per-thread buffer with this,
- * making a warm cache hit allocation-free.
- */
-void appendCanonicalRequestKey(std::string &out, const WorkloadParams &p,
-                               const Platform &plat);
-
-/**
- * FNV-1a fingerprint of the request, mixed with @p seed. Hashes the
- * same fields in the same order as canonicalRequestKey(), but over
- * their raw bit patterns rather than the hex text — it identifies the
- * same equivalence classes, cheaper. Not collision-free: pair it with
- * canonicalRequestKey() text wherever a collision would be wrong.
- */
-std::uint64_t requestFingerprint(const WorkloadParams &p,
-                                 const Platform &plat,
-                                 std::uint64_t seed = 0);
-
-/**
- * Fingerprint of everything about a Solver that affects its results:
- * the queuing curve and the tuning knobs. Use it as the @p seed of
- * requestFingerprint() so one cache never mixes solvers.
- */
-std::uint64_t solverFingerprint(const Solver &solver);
+/** The key of the request (@p p, @p plat). */
+RequestKey requestKey(const WorkloadParams &p, const Platform &plat);
 
 } // namespace memsense::model
 

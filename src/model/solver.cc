@@ -23,8 +23,6 @@ Solver::Solver(QueuingModel queuing_model, SolverOptions options)
 {
     requireConfig(opts.maxIterations >= 1, "need at least one iteration");
     requireConfig(opts.tolerance > 0.0, "tolerance must be positive");
-    requireConfig(opts.damping > 0.0 && opts.damping <= 1.0,
-                  "damping must be in (0, 1]");
 }
 
 OperatingPoint

@@ -118,7 +118,6 @@ struct SolverOptions
 {
     int maxIterations = 200;   ///< iteration cap before declaring failure
     double tolerance = 1e-9;   ///< |delta CPI| convergence threshold
-    double damping = 0.5;      ///< utilization update damping in (0, 1]
 };
 
 /**

@@ -47,12 +47,14 @@ ShardedLruCache::ShardedLruCache(CacheOptions opts)
 ShardedLruCache::Shard &
 ShardedLruCache::shardFor(std::uint64_t fingerprint)
 {
-    // The low bits of FNV-1a are well mixed; use them directly.
+    // RequestKey::hash() ends in a full avalanche, so its low bits
+    // are well mixed; use them directly.
     return *shardsVec[fingerprint & shardMask];
 }
 
 std::optional<model::OperatingPoint>
-ShardedLruCache::lookup(std::uint64_t fingerprint, std::string_view key)
+ShardedLruCache::lookup(std::uint64_t fingerprint,
+                        const model::RequestKey &key)
 {
     Shard &s = shardFor(fingerprint);
     std::lock_guard<std::mutex> lock(s.mu);
@@ -77,7 +79,8 @@ ShardedLruCache::lookup(std::uint64_t fingerprint, std::string_view key)
 }
 
 void
-ShardedLruCache::insert(std::uint64_t fingerprint, std::string key,
+ShardedLruCache::insert(std::uint64_t fingerprint,
+                        const model::RequestKey &key,
                         const model::OperatingPoint &op)
 {
     Shard &s = shardFor(fingerprint);
@@ -101,7 +104,7 @@ ShardedLruCache::insert(std::uint64_t fingerprint, std::string key,
         ++s.evictions;
         MS_METRIC_COUNT("serve.cache.evictions");
     }
-    s.lru.push_front(Entry{fingerprint, std::move(key), op});
+    s.lru.push_front(Entry{key, fingerprint, op});
     s.index.emplace(fingerprint, s.lru.begin());
     ++s.inserts;
     MS_METRIC_COUNT("serve.cache.inserts");

@@ -2,13 +2,14 @@
  * @file
  * Sharded thread-safe LRU cache for solved operating points.
  *
- * The batch evaluator keys entries on the 64-bit FNV-1a fingerprint of
- * the canonical (workload, platform) request encoding
- * (model/fingerprint.hh). FNV-1a is not collision-free, so every hit is
- * verified against the stored canonical key text before it is trusted;
- * a fingerprint match with different key text is counted as a collision
- * and treated as a miss — the cache never returns a wrong operating
- * point, it only loses a little speed.
+ * The evaluator keys entries on the binary request key
+ * (model::RequestKey, 13 raw 64-bit words) and indexes them by its
+ * 64-bit hash. The hash is not collision-free, so every hit is verified
+ * against the key stored inline in the entry before it is trusted; a
+ * fingerprint match with a different key is counted as a collision and
+ * treated as a miss — the cache never returns a wrong operating point,
+ * it only loses a little speed. An entry is one list node (key, hash
+ * and operating point) plus one index node.
  *
  * Sharding: entries are distributed over a power-of-two number of
  * shards by fingerprint bits, each shard guarding its own LRU list and
@@ -31,11 +32,10 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "model/fingerprint.hh"
 #include "model/solver.hh"
 
 namespace memsense::serve
@@ -66,20 +66,21 @@ class ShardedLruCache
     explicit ShardedLruCache(CacheOptions opts = {});
 
     /**
-     * Look up @p fingerprint, verifying the canonical @p key before
-     * trusting the hit. A verified hit refreshes the entry's recency.
+     * Look up @p fingerprint (normally @p key.hash()), verifying the
+     * full @p key before trusting the hit. A verified hit refreshes
+     * the entry's recency.
      */
     std::optional<model::OperatingPoint>
-    lookup(std::uint64_t fingerprint, std::string_view key);
+    lookup(std::uint64_t fingerprint, const model::RequestKey &key);
 
     /**
      * Insert (or refresh) the entry for @p fingerprint. On a
-     * fingerprint collision (same fingerprint, different key text) the
+     * fingerprint collision (same fingerprint, different key) the
      * incumbent entry is kept and the insert is dropped — dropping is
      * cheaper than chaining and the solve that produced @p op already
      * happened. Evicts the shard's LRU entry when the shard is full.
      */
-    void insert(std::uint64_t fingerprint, std::string key,
+    void insert(std::uint64_t fingerprint, const model::RequestKey &key,
                 const model::OperatingPoint &op);
 
     /** Monotone counters + current size, aggregated over shards. */
@@ -94,8 +95,8 @@ class ShardedLruCache
   private:
     struct Entry
     {
+        model::RequestKey key;
         std::uint64_t fingerprint = 0;
-        std::string key;
         model::OperatingPoint op;
     };
 

@@ -1,6 +1,7 @@
 #include "serve/evaluator.hh"
 
 #include <cstddef>
+#include <functional>
 #include <unordered_map>
 #include <utility>
 
@@ -19,11 +20,19 @@ namespace
  *  (no temporary bound to a const reference). */
 const model::CancelCheck kNoCancel{};
 
+/** Hash adapter for the batch's dedup map. */
+struct KeyHash
+{
+    std::size_t operator()(const model::RequestKey &key) const noexcept
+    {
+        return key.hash();
+    }
+};
+
 } // anonymous namespace
 
 Evaluator::Evaluator(model::Solver solver_in, EvaluatorOptions opts)
     : analyticSolver(std::move(solver_in)), options(opts),
-      solverFp(model::solverFingerprint(analyticSolver)),
       cache(opts.cache)
 {
     options.resilience.retry.validate();
@@ -37,17 +46,17 @@ Evaluator::solve(const model::WorkloadParams &p,
 }
 
 std::optional<model::OperatingPoint>
+Evaluator::probe(const model::RequestKey &key) const
+{
+    MS_FAULT_POINT("evaluator.probe");
+    return cache.lookup(key.hash(), key);
+}
+
+std::optional<model::OperatingPoint>
 Evaluator::probe(const model::WorkloadParams &p,
                  const model::Platform &plat) const
 {
-    MS_FAULT_POINT("evaluator.probe");
-    // Per-thread key buffer: a warm hit allocates nothing (the buffer
-    // keeps its capacity across calls; the cache copies on insert).
-    thread_local std::string key;
-    key.clear();
-    model::appendCanonicalRequestKey(key, p, plat);
-    const std::uint64_t fp = model::requestFingerprint(p, plat, solverFp);
-    return cache.lookup(fp, key);
+    return probe(model::requestKey(p, plat));
 }
 
 model::OperatingPoint
@@ -55,16 +64,13 @@ Evaluator::solveCancellable(const model::WorkloadParams &p,
                             const model::Platform &plat,
                             const model::CancelCheck &cancel) const
 {
-    if (auto hit = probe(p, plat))
+    const model::RequestKey key = model::requestKey(p, plat);
+    if (auto hit = probe(key))
         return *hit;
     MS_FAULT_POINT("evaluator.solve");
     model::OperatingPoint op = analyticSolver.solve(p, plat, cancel);
     MS_FAULT_POINT("evaluator.insert");
-    thread_local std::string key;
-    key.clear();
-    model::appendCanonicalRequestKey(key, p, plat);
-    const std::uint64_t fp = model::requestFingerprint(p, plat, solverFp);
-    cache.insert(fp, key, op);
+    cache.insert(key.hash(), key, op);
     return op;
 }
 
@@ -80,53 +86,45 @@ Evaluator::evaluateBatch(const std::vector<EvalRequest> &requests,
 
     constexpr std::size_t kNotUnique = static_cast<std::size_t>(-1);
 
-    // Pass 1 (serial, input order): fingerprint, probe the cache, and
+    // Pass 1 (serial, input order): key, probe the cache, and
     // deduplicate the misses. Serial probing keeps the hit/miss/evict
     // counter sequence — and therefore the metrics artifact — identical
     // for every worker count.
-    // Batch-local bump arena backs the index/fingerprint scratch: one
-    // block allocation serves the whole pass, and everything is freed
+    // Batch-local bump arena backs all the dedup scratch: one block
+    // allocation serves the whole pass, and everything is freed
     // wholesale when the batch returns. The outcomes vector stays on
     // the heap because it is handed to the caller.
     util::Arena arena;
-    util::ArenaAllocator<std::size_t> idxAlloc(&arena);
-    util::ArenaAllocator<std::uint64_t> fpAlloc(&arena);
+    // One arena allocator, rebound by each container below.
+    const util::ArenaAllocator<std::size_t> scratch(&arena);
     std::vector<EvalOutcome> outcomes(requests.size());
     util::ArenaVector<std::size_t> uniqueOf(requests.size(), kNotUnique,
-                                            idxAlloc);
+                                            scratch);
     // Plain vector: handed to ParallelExecutor::mapOrderedResilient,
     // whose signature takes std::vector<Job>.
     std::vector<std::size_t> uniqueRequestIndex;
-    util::ArenaVector<std::uint64_t> uniqueFp(fpAlloc);
-    std::vector<std::string> uniqueKey;
-    std::unordered_map<std::string, std::size_t> uniqueByKey;
-    // Reused key buffer: on a warm batch every request is a cache hit,
-    // and rebuilding the key in place means zero allocations per hit
-    // (the map copies the key only for unique misses).
-    std::string key;
-    // Worst case every request is a unique miss, so reserving the
-    // batch size up front makes the pushes below growth-free.
+    // Points into uniqueByKey, whose nodes never move.
+    util::ArenaVector<const model::RequestKey *> uniqueKey(scratch);
+    // Sized for the worst case (every request a unique miss), so it
+    // never rehashes: the arena cannot reclaim a regrown bucket array.
+    std::unordered_map<
+        model::RequestKey, std::size_t, KeyHash, std::equal_to<>,
+        util::ArenaAllocator<std::pair<const model::RequestKey, std::size_t>>>
+        uniqueByKey(requests.size(), scratch);
     uniqueRequestIndex.reserve(requests.size());
-    uniqueFp.reserve(requests.size());
     uniqueKey.reserve(requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
         outcomes[i].id = requests[i].id;
-        // A fault here aborts the whole batch (the probe pass is
-        // serial and unprotected by design); the chaos tests assert
+        const model::RequestKey key =
+            model::requestKey(requests[i].workload, requests[i].platform);
+        // A fault in the probe aborts the whole batch (the probe pass
+        // is serial and unprotected by design); the chaos tests assert
         // that the abort is a clean throw, never a crash or a leak.
-        MS_FAULT_POINT("evaluator.probe");
-        key.clear();
-        model::appendCanonicalRequestKey(key, requests[i].workload,
-                                         requests[i].platform);
-        std::uint64_t fp = model::requestFingerprint(
-            requests[i].workload, requests[i].platform, solverFp);
-        if (auto hit = cache.lookup(fp, key)) {
+        if (auto hit = probe(key)) {
             outcomes[i].result.value.emplace(*hit);
             outcomes[i].cacheHit = true;
             continue;
         }
-        // Copy (not move) into the map: the copy is paid only for
-        // unique misses, and keeps the reused buffer's capacity warm.
         auto [it, inserted] =
             uniqueByKey.emplace(key, uniqueRequestIndex.size());
         if (inserted) {
@@ -134,9 +132,7 @@ Evaluator::evaluateBatch(const std::vector<EvalRequest> &requests,
             // requests.size() above the loop
             uniqueRequestIndex.push_back(i);
             // memsense-lint: allow(no-hot-loop-alloc): reserved above
-            uniqueFp.push_back(fp);
-            // memsense-lint: allow(no-hot-loop-alloc): reserved above
-            uniqueKey.push_back(it->first);
+            uniqueKey.push_back(&it->first);
         }
         uniqueOf[i] = it->second;
     }
@@ -167,7 +163,8 @@ Evaluator::evaluateBatch(const std::vector<EvalRequest> &requests,
     for (std::size_t u = 0; u < solved.size(); ++u) {
         if (solved[u].ok()) {
             MS_FAULT_POINT("evaluator.insert");
-            cache.insert(uniqueFp[u], uniqueKey[u], *solved[u].value);
+            cache.insert(uniqueKey[u]->hash(), *uniqueKey[u],
+                         *solved[u].value);
         }
     }
 

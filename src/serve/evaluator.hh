@@ -3,7 +3,7 @@
  * Memoizing batch evaluator: the serving layer's solve engine.
  *
  * An Evaluator owns one analytic Solver and one sharded LRU cache of
- * its operating points, keyed on the canonical request fingerprint
+ * its operating points, keyed on the binary request key
  * (model/fingerprint.hh). It serves two call shapes:
  *
  *  - SolveEngine::solve(): a drop-in for model::Solver anywhere an
@@ -11,8 +11,8 @@
  *    operating points (sweep baselines, bisection probes) come out of
  *    the cache instead of re-running the fixed point.
  *
- *  - evaluateBatch(): many requests at once. Requests are
- *    fingerprinted and deduplicated serially in input order, the
+ *  - evaluateBatch(): many requests at once. Requests are keyed,
+ *    probed and deduplicated serially in input order, the
  *    unique misses fan out over the parallel experiment engine
  *    (measure::ParallelExecutor::mapOrderedResilient), and results
  *    are assembled back in input order with per-request error capture
@@ -36,7 +36,6 @@
 #ifndef MEMSENSE_SERVE_EVALUATOR_HH
 #define MEMSENSE_SERVE_EVALUATOR_HH
 
-#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -88,6 +87,10 @@ class Evaluator : public model::SolveEngine
      * no queue slot, which is what "shed cold solves first" means.
      */
     std::optional<model::OperatingPoint>
+    probe(const model::RequestKey &key) const;
+
+    /** probe() of model::requestKey(@p p, @p plat). */
+    std::optional<model::OperatingPoint>
     probe(const model::WorkloadParams &p,
           const model::Platform &plat) const;
 
@@ -127,13 +130,9 @@ class Evaluator : public model::SolveEngine
     /** The wrapped analytic solver. */
     const model::Solver &solver() const { return analyticSolver; }
 
-    /** Fingerprint of the solver configuration (queuing + options). */
-    std::uint64_t solverFingerprint() const { return solverFp; }
-
   private:
     model::Solver analyticSolver;
     EvaluatorOptions options;
-    std::uint64_t solverFp = 0;
     /** mutable: the cache is the memo table of a conceptually const
      *  solve — recency/counters updates do not change any result. */
     mutable ShardedLruCache cache;

@@ -61,7 +61,7 @@ constexpr std::size_t kMaxClientRecords = 4096;
  * Coarse request key for the stale-answer cache: every numeric knob
  * quantized to 3 significant digits, so "the same experiment re-run
  * with jittered inputs" maps to one slot. Deliberately much coarser
- * than the exact canonical fingerprint — a degraded answer is allowed
+ * than the exact request key — a degraded answer is allowed
  * to be approximately right, and every reply served from this cache is
  * flagged `"degraded":true` so clients can tell.
  */
@@ -444,8 +444,10 @@ Server::handleLine(ReaderPass &pass,
     // Fast path: a verified cache hit is answered inline on the reader
     // thread and consumes no queue slot — under overload the hot set
     // keeps flowing while cold solves are shed at admission.
+    Job job;
+    job.key = model::requestKey(req.workload, req.platform);
     try {
-        if (auto hit = eval.probe(req.workload, req.platform)) {
+        if (auto hit = eval.probe(job.key)) {
             EvalOutcome outcome;
             outcome.id = std::move(req.id);
             outcome.result.attempts = 1;
@@ -464,7 +466,6 @@ Server::handleLine(ReaderPass &pass,
         return;
     }
 
-    Job job;
     job.stream = stream;
     job.client = client;
     job.bytes = line.size();
@@ -762,44 +763,36 @@ Server::runBatch(std::vector<Job> &batch, ReplyBatch &replies)
         runJob(batch[live.front()], replies);
         return;
     }
-    // Group the live jobs by request fingerprint so duplicates share
-    // one solve, and derive each group's cancellation deadline: the
-    // group is cancelled only when EVERY member's deadline has expired
-    // (a member with no deadline pins the group at "never cancel"), so
-    // dedup never starves the most patient requester. Fingerprint
-    // collisions merely merge two groups' deadlines — harmlessly
-    // conservative; the evaluator dedups by full canonical key.
+    // Group the live jobs by request key so duplicates share one
+    // solve, and derive each group's cancellation deadline: the group
+    // is cancelled only when EVERY member's deadline has expired (a
+    // member with no deadline pins the group at "never cancel"), so
+    // dedup never starves the most patient requester. The groups are
+    // exactly the evaluator's dedup groups.
     std::vector<EvalRequest> requests;
     std::vector<model::CancelCheck> cancels;
-    std::vector<std::uint64_t> fps;
     std::vector<std::size_t> groupOf;
-    std::vector<std::uint64_t> groupFp;
+    std::vector<const model::RequestKey *> groupKey;
     std::vector<double> groupDeadlineAtMs; // 0 = never cancel
     requests.reserve(live.size());
     cancels.reserve(live.size());
-    fps.reserve(live.size());
     groupOf.reserve(live.size());
-    groupFp.reserve(live.size());
+    groupKey.reserve(live.size());
     groupDeadlineAtMs.reserve(live.size());
-    const std::uint64_t solver_fp = eval.solverFingerprint();
     for (std::size_t j = 0; j < live.size(); ++j) {
         const Job &job = batch[live[j]];
-        const std::uint64_t fp = model::requestFingerprint(
-            job.request.workload, job.request.platform, solver_fp);
-        // memsense-lint: allow(no-hot-loop-alloc): reserved above
-        fps.push_back(fp);
         // Linear group scan: a batch holds at most maxBatch entries,
         // so this beats a hash map and allocates nothing.
-        std::size_t g = groupFp.size();
-        for (std::size_t k = 0; k < groupFp.size(); ++k) {
-            if (groupFp[k] == fp) {
+        std::size_t g = groupKey.size();
+        for (std::size_t k = 0; k < groupKey.size(); ++k) {
+            if (*groupKey[k] == job.key) {
                 g = k;
                 break;
             }
         }
-        if (g == groupFp.size()) {
+        if (g == groupKey.size()) {
             // memsense-lint: allow(no-hot-loop-alloc): reserved above
-            groupFp.push_back(fp);
+            groupKey.push_back(&job.key);
             // memsense-lint: allow(no-hot-loop-alloc): reserved above
             groupDeadlineAtMs.push_back(job.deadlineAtMs);
         } else if (groupDeadlineAtMs[g] > 0.0) {
@@ -823,7 +816,7 @@ Server::runBatch(std::vector<Job> &batch, ReplyBatch &replies)
         // memsense-lint: allow(no-hot-loop-alloc): reserved above
         cancels.push_back(std::move(cancel));
     }
-    const std::size_t deduped = live.size() - groupFp.size();
+    const std::size_t deduped = live.size() - groupKey.size();
     {
         std::lock_guard<std::mutex> lock(statsMu);
         ++counters.batches;

@@ -33,7 +33,7 @@
  *     requests per pass (after a cooperative `batchLingerMs` wait on
  *     the injectable clock to let a batch fill) into one
  *     Evaluator::evaluateBatch call, which deduplicates identical
- *     fingerprints — N duplicate cold requests cost one solve and N
+ *     request keys — N duplicate cold requests cost one solve and N
  *     replies. Per-request deadlines survive batching: a dedup group
  *     is cancelled only when every member's deadline has expired, and
  *     each request is re-checked after the solve so one whose deadline
@@ -267,6 +267,7 @@ class Server
         std::shared_ptr<LineStream> stream;
         std::shared_ptr<ClientState> client;
         EvalRequest request;
+        model::RequestKey key;     ///< of request, built by the reader
         std::size_t bytes = 0;     ///< admission accounting
         double deadlineAtMs = 0.0; ///< absolute, 0 = none
     };

@@ -1,86 +1,28 @@
 #include "util/hash.hh"
 
-#include <bit>
-
 namespace memsense
 {
-
-namespace
-{
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-} // anonymous namespace
 
 std::uint64_t
 fnv1a64(std::string_view bytes)
 {
-    Fnv1a h;
-    h.add(bytes);
-    return h.value();
-}
-
-Fnv1a &
-Fnv1a::add(std::string_view bytes)
-{
+    std::uint64_t state = 0xcbf29ce484222325ULL; // FNV offset basis
     for (char c : bytes) {
         state ^= static_cast<unsigned char>(c);
-        state *= kFnvPrime;
+        state *= 0x100000001b3ULL; // FNV prime
     }
-    return *this;
-}
-
-Fnv1a &
-Fnv1a::add(double value)
-{
-    return add(std::bit_cast<std::uint64_t>(value));
-}
-
-Fnv1a &
-Fnv1a::add(std::uint64_t value)
-{
-    for (int i = 0; i < 8; ++i) {
-        state ^= (value >> (8 * i)) & 0xffULL;
-        state *= kFnvPrime;
-    }
-    return *this;
-}
-
-Fnv1a &
-Fnv1a::add(int value)
-{
-    // memsense-lint: allow(unclamped-double-to-int): integer source;
-    // the lint's file-wide ident table types 'value' from add(double)
-    return add(static_cast<std::uint64_t>(static_cast<std::int64_t>(value)));
-}
-
-Fnv1a &
-Fnv1a::add(bool value)
-{
-    state ^= value ? 1u : 0u;
-    state *= kFnvPrime;
-    return *this;
-}
-
-void
-appendHex64(std::string &out, std::uint64_t v)
-{
-    // Hand-rolled nibble loop: this sits on the solve-cache hit path
-    // (13 encodes per canonical request key), where snprintf("%016llx")
-    // is an order of magnitude slower.
-    static const char digits[] = "0123456789abcdef";
-    char buf[16];
-    for (int i = 15; i >= 0; --i) {
-        buf[i] = digits[v & 0xfULL];
-        v >>= 4;
-    }
-    out.append(buf, sizeof(buf));
+    return state;
 }
 
 std::string
 hex64(std::uint64_t v)
 {
-    std::string out;
-    out.reserve(16);
-    appendHex64(out, v);
+    static const char digits[] = "0123456789abcdef";
+    std::string out(16, '0');
+    for (int i = 15; i >= 0; --i) {
+        out[static_cast<std::size_t>(i)] = digits[v & 0xfULL];
+        v >>= 4;
+    }
     return out;
 }
 

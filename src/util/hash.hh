@@ -2,18 +2,15 @@
  * @file
  * FNV-1a hashing and fixed-width hex codecs.
  *
- * One home for the fingerprint machinery the repo keeps reinventing:
- * the checkpoint journal checksums its records with FNV-1a and stores
- * doubles as IEEE-754 bit patterns, and the serving layer keys its
- * solver cache on an FNV-1a fingerprint of the canonical request
- * encoding. Both need the same three ingredients — a streaming 64-bit
- * FNV-1a hasher, a 16-digit lowercase hex encoder, and its strict
- * decoder — so they live here, dependency-free.
+ * The checkpoint journal checksums its records with FNV-1a and stores
+ * doubles as IEEE-754 bit patterns written as hex. It needs three
+ * ingredients — a 64-bit FNV-1a hash, a 16-digit lowercase hex
+ * encoder, and its strict decoder — so they live here,
+ * dependency-free.
  *
  * FNV-1a is not cryptographic; collisions are possible and every
  * consumer must tolerate them (the checkpoint journal re-runs a job on
- * checksum mismatch, the solve cache verifies the canonical key text
- * before trusting a hit).
+ * checksum mismatch).
  */
 
 #ifndef MEMSENSE_UTIL_HASH_HH
@@ -30,36 +27,8 @@ namespace memsense
 /** 64-bit FNV-1a of a byte string. */
 std::uint64_t fnv1a64(std::string_view bytes);
 
-/**
- * Streaming 64-bit FNV-1a hasher for composite keys.
- *
- * Field order matters (the hash is a fold over the byte stream), so
- * canonical encodings must feed fields in a fixed documented order.
- * add(double) hashes the value's IEEE-754 bit pattern, making the
- * fingerprint bit-exact: two doubles fingerprint equal iff they are
- * the same bits (note -0.0 and 0.0 therefore differ).
- */
-class Fnv1a
-{
-  public:
-    Fnv1a &add(std::string_view bytes);
-    Fnv1a &add(double value);
-    Fnv1a &add(std::uint64_t value);
-    Fnv1a &add(int value);
-    Fnv1a &add(bool value);
-
-    /** The digest of everything added so far. */
-    std::uint64_t value() const { return state; }
-
-  private:
-    std::uint64_t state = 0xcbf29ce484222325ULL; ///< FNV offset basis
-};
-
 /** @p v as 16 lowercase hex digits. */
 std::string hex64(std::uint64_t v);
-
-/** Append hex64(@p v) to @p out without a temporary (hot paths). */
-void appendHex64(std::string &out, std::uint64_t v);
 
 /** Strict inverse of hex64(): exactly 16 lowercase hex digits. */
 std::optional<std::uint64_t> parseHex64(std::string_view word);

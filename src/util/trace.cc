@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <fstream>
 #include <mutex>
+#include <string_view>
 #include <vector>
 
 #include "error.hh"
@@ -147,9 +148,11 @@ struct alignas(64) ThreadState
     int track = -1;
     unsigned depth = 0;
     std::vector<Event> events;
-    std::map<std::string, std::uint64_t> counters;
-    std::map<std::string, SpanStat> spans;
-    std::map<std::string, ValueStat> values;
+    // Transparent comparators: an armed site finds its slot by
+    // string_view and builds the key string only on first insert.
+    std::map<std::string, std::uint64_t, std::less<>> counters;
+    std::map<std::string, SpanStat, std::less<>> spans;
+    std::map<std::string, ValueStat, std::less<>> values;
 
     ThreadState()
     {
@@ -213,10 +216,22 @@ threadState()
     return state;
 }
 
-void
-observeSpan(ThreadState &ts, const std::string &name, std::uint64_t dur_ns)
+/** The slot of site @p name in @p sites, created on first use. */
+template <typename Stat>
+Stat &
+siteSlot(std::map<std::string, Stat, std::less<>> &sites,
+         std::string_view name)
 {
-    SpanStat &s = ts.spans[name];
+    auto it = sites.find(name);
+    if (it == sites.end())
+        it = sites.emplace(std::string(name), Stat{}).first;
+    return it->second;
+}
+
+void
+observeSpan(ThreadState &ts, std::string_view name, std::uint64_t dur_ns)
+{
+    SpanStat &s = siteSlot(ts.spans, name);
     if (s.count == 0) {
         s.minNs = dur_ns;
         s.maxNs = dur_ns;
@@ -229,9 +244,9 @@ observeSpan(ThreadState &ts, const std::string &name, std::uint64_t dur_ns)
 }
 
 void
-observeValue(ThreadState &ts, const std::string &name, double v)
+observeValue(ThreadState &ts, std::string_view name, double v)
 {
-    ValueStat &s = ts.values[name];
+    ValueStat &s = siteSlot(ts.values, name);
     int idx = valueBucketIndex(v);
     if (std::isfinite(v)) {
         if (s.finite == 0) {
@@ -371,13 +386,13 @@ spanEnd(const char *site_literal, const std::string *site_owned,
         --ts.depth;
     std::uint64_t end_ns = nowNs();
     std::uint64_t dur = end_ns > start_ns ? end_ns - start_ns : 0;
-    std::string name = site_literal ? std::string(site_literal)
-                                    : *site_owned;
+    const std::string_view name =
+        site_literal ? std::string_view(site_literal) : *site_owned;
     if (statsEnabled())
         observeSpan(ts, name, dur);
     if (tracingEnabled()) {
         Event e;
-        e.name = std::move(name);
+        e.name = std::string(name);
         e.startNs = start_ns;
         e.durNs = dur;
         e.track = ts.ensureTrack(registry());
@@ -388,7 +403,7 @@ spanEnd(const char *site_literal, const std::string *site_owned,
 void
 counterHit(const char *name, std::uint64_t delta)
 {
-    threadState().counters[name] += delta;
+    siteSlot(threadState().counters, name) += delta;
 }
 
 void

@@ -171,10 +171,6 @@ TEST(Solver, CustomOptionsValidated)
     opts.maxIterations = 0;
     EXPECT_THROW(Solver(QueuingModel::analyticDefault(), opts),
                  ConfigError);
-    opts = SolverOptions{};
-    opts.damping = 0.0;
-    EXPECT_THROW(Solver(QueuingModel::analyticDefault(), opts),
-                 ConfigError);
 }
 
 TEST(Solver, MeasuredQueuingModelAccepted)

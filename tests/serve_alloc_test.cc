@@ -4,8 +4,10 @@
  *
  * This binary replaces the global operator new with a counting one, so
  * a test can assert how many heap allocations a call makes. A warm
- * model::Solver::solve on a valid request must make none, and
- * serializing an ok reply must make at most one (the reply string).
+ * model::Solver::solve on a valid request must make none, serializing
+ * an ok reply must make at most one (the reply string), a cache miss
+ * must allocate only its cache entry (one list node, one index node),
+ * and an armed telemetry site must allocate only on its first use.
  * Contract messages built eagerly on the passing path (a concatenation
  * handed to requireConfig, a std::string parameter bound to a literal)
  * show up here as allocations long before they show up in a profile.
@@ -17,10 +19,13 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "model/paper_data.hh"
 #include "model/solver.hh"
+#include "serve/evaluator.hh"
 #include "serve/request.hh"
+#include "util/trace.hh"
 
 namespace
 {
@@ -140,6 +145,114 @@ TEST(AllocationGuard, RequestParseAllocatesOnlyItsDocument)
     EXPECT_LE(allocations, 6u);
     EXPECT_EQ(req.platform.memory.channels, 4);
     EXPECT_EQ(req.id, "sweep-000123-latency_ns");
+}
+
+/** A cold request: the HPC class at @p n ns of compulsory latency. */
+serve::EvalRequest
+coldRequest(int n)
+{
+    serve::EvalRequest req;
+    req.id = "r" + std::to_string(n % 1000);
+    req.workload = model::paper::classParams(model::WorkloadClass::Hpc);
+    req.platform = model::Platform::paperBaseline();
+    req.platform.memory.compulsoryNs = 50.0 + 0.25 * n;
+    return req;
+}
+
+/** Options for a one-shard cache of 16 entries. */
+serve::EvaluatorOptions
+smallCache()
+{
+    serve::EvaluatorOptions opts;
+    opts.cache = {.capacity = 16, .shards = 1};
+    return opts;
+}
+
+/** Fill @p eval's cache past capacity, so each further miss evicts one
+ *  entry and inserts one: the index never rehashes again. */
+void
+fillCache(const serve::Evaluator &eval, int &next)
+{
+    for (int i = 0; i < 32; ++i) {
+        const serve::EvalRequest req = coldRequest(next++);
+        eval.solve(req.workload, req.platform);
+    }
+}
+
+TEST(AllocationGuard, SolveMissAllocatesOnlyItsCacheEntry)
+{
+    int next = 0;
+    const serve::Evaluator eval(model::Solver(), smallCache());
+    fillCache(eval, next);
+    for (int i = 0; i < 8; ++i) {
+        const serve::EvalRequest req = coldRequest(next++);
+        // One list node and one index node; the key lives inline.
+        EXPECT_LE(allocationsOf([&] {
+                      eval.solve(req.workload, req.platform);
+                  }),
+                  2u)
+            << "miss " << i;
+        // The hit that follows allocates nothing.
+        EXPECT_EQ(allocationsOf([&] {
+                      eval.solve(req.workload, req.platform);
+                  }),
+                  0u)
+            << "hit " << i;
+    }
+    EXPECT_EQ(eval.cacheStats().size, 16u);
+}
+
+TEST(AllocationGuard, BatchMissesAllocateOnlyTheirCacheEntries)
+{
+    int next = 0;
+    const serve::Evaluator eval(model::Solver(), smallCache());
+    fillCache(eval, next);
+    auto batchOf = [&next] {
+        std::vector<serve::EvalRequest> batch;
+        for (int i = 0; i < 16; ++i)
+            batch.push_back(coldRequest(next++));
+        return batch;
+    };
+    eval.evaluateBatch(batchOf()); // warm: first-use statics, if any
+    const std::vector<serve::EvalRequest> batch = batchOf();
+    std::vector<serve::EvalOutcome> outcomes;
+    const std::size_t allocations =
+        allocationsOf([&] { outcomes = eval.evaluateBatch(batch); });
+    // Per unique miss: its cache entry's two nodes; the dedup scratch
+    // lives in the batch arena. Per batch: the outcome vector, the
+    // unique-index vector, the arena's block and block list, and the
+    // parallel executor's two result vectors.
+    constexpr std::size_t kPerBatch = 6;
+    EXPECT_LE(allocations, 2 * batch.size() + kPerBatch);
+    ASSERT_EQ(outcomes.size(), batch.size());
+    for (const serve::EvalOutcome &o : outcomes) {
+        EXPECT_TRUE(o.result.ok());
+        EXPECT_FALSE(o.cacheHit);
+    }
+}
+
+TEST(AllocationGuard, ArmedTelemetrySitesAllocateOnlyOnFirstUse)
+{
+    trace::resetForTest();
+    trace::setStatsEnabled(true);
+    // Names longer than any small-string buffer, as real sites have.
+    auto count = [] { MS_METRIC_COUNT("serve.cache.misses.long-name"); };
+    auto observe = [] {
+        MS_METRIC_OBSERVE("solver.iterations_per_solve", 30.0);
+    };
+    auto span = [] { MS_TRACE_SPAN("measure.job_attempt.long-name"); };
+    count();
+    observe();
+    span();
+    EXPECT_EQ(allocationsOf(count), 0u);
+    EXPECT_EQ(allocationsOf(observe), 0u);
+    EXPECT_EQ(allocationsOf(span), 0u);
+    EXPECT_EQ(trace::counterTotals()["serve.cache.misses.long-name"], 2u);
+    EXPECT_EQ(trace::valueStats()["solver.iterations_per_solve"].count,
+              2u);
+    EXPECT_EQ(trace::spanStats()["measure.job_attempt.long-name"].count,
+              2u);
+    trace::resetForTest();
 }
 
 } // anonymous namespace
