@@ -2,9 +2,9 @@
  * @file
  * google-benchmark microbenchmarks for the library's hot paths: the
  * analytic solver, the serve request stages (parse, probe, solve,
- * serialize), the model fitter, cache lookups, the DRAM channel, and
+ * serialize), the model fitter, cache lookups, the DRAM channel,
  * end-to-end simulation throughput (instructions simulated per second
- * of host time).
+ * of host time), and one loaded-latency (MLC) point.
  */
 
 #include <benchmark/benchmark.h>
@@ -16,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "measure/loaded_latency.hh"
 #include "measure/runner.hh"
 #include "util/thread_pool.hh"
 #include "model/memsense.hh"
@@ -24,6 +25,7 @@
 #include "sim/machine.hh"
 #include "stats/regression.hh"
 #include "util/log.hh"
+#include "util/trace.hh"
 #include "workloads/factory.hh"
 
 using namespace memsense;
@@ -293,6 +295,26 @@ BENCHMARK(BM_SimulationThroughput)
     ->Repetitions(3)
     ->ReportAggregatesOnly(true)
     ->ComputeStatistics("mad", madOf);
+
+/**
+ * One Fig. 7 loaded-latency point at its heaviest load: an 8-core MLC
+ * machine (one probe, seven generators, 28 MSHRs each) at injection
+ * delay 0, built and run for fig07's --fast windows. Covers machine
+ * construction and the LLC-miss, MSHR-stall and DRAM-queue path.
+ */
+void
+BM_MlcPoint(benchmark::State &state)
+{
+    setLogLevel(LogLevel::Warn);
+    measure::LoadedLatencySetup setup;
+    setup.delayCycles = {0};
+    setup.measure = nsToPicos(200'000.0);
+    for (auto _ : state) {
+        MS_TRACE_SPAN("perf_microbench.mlc_point");
+        benchmark::DoNotOptimize(measure::sweepLoadedLatency(setup));
+    }
+}
+BENCHMARK(BM_MlcPoint)->Apply(applyRepetitions);
 
 } // anonymous namespace
 

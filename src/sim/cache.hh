@@ -114,6 +114,24 @@ class SetAssocCache
     bool contains(Addr line_addr) const;
 
     /**
+     * Ask the host to prefetch the set block @p line_addr maps to,
+     * ahead of a lookup that will scan it. A set's index depends only
+     * on the line address, so this is a pure hint: it reads no way
+     * state and changes nothing the simulation observes.
+     *
+     * Forced inline: a const member whose only effect is
+     * __builtin_prefetch looks pure to GCC, which at -O2 deletes an
+     * out-of-line call to it together with the prefetch.
+     */
+    [[gnu::always_inline]] void prefetchSet(Addr line_addr) const
+    {
+        const unsigned char *blk = setBlock(setIndex(line_addr));
+        for (std::size_t off = 0; off < setStride;
+             off += util::AlignedSlab::kAlign)
+            __builtin_prefetch(blk + off);
+    }
+
+    /**
      * Install @p line_addr, evicting a victim if the set is full.
      *
      * @param line_addr line to install

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "util/contract.hh"
 #include "util/error.hh"
@@ -68,7 +69,14 @@ SimCore::runUntil(Picos until)
                 streamEnded = true;
                 return false;
             }
+            // Prime the look-ahead window: the loop below prefetches
+            // kPrefetchAhead ops ahead, which skips a run's first ops.
+            for (std::size_t i = 0; i < std::min(kPrefetchAhead, opCount);
+                 ++i)
+                prefetchSets(opRun[i]);
         }
+        if (opPos + kPrefetchAhead < opCount)
+            prefetchSets(opRun[opPos + kPrefetchAhead]);
         apply(opRun[opPos++]);
     }
     return true;
@@ -118,11 +126,6 @@ SimCore::apply(const MicroOp &op)
     else
         ctrs.busyTime += delta;
 }
-
-namespace
-{
-
-} // anonymous namespace
 
 void
 SimCore::waitForFill(Picos fill_time, bool dependent)
@@ -211,6 +214,8 @@ SimCore::fetchLine(Addr line, bool is_write, bool dependent,
         // Independent misses overlap through the MSHRs; reserveMshr()
         // above is the MLP throttle.
         mshrBusy.push_back(completion);
+        std::push_heap(mshrBusy.begin(), mshrBusy.end(),
+                       std::greater<Picos>{});
     }
 
     // Train the prefetcher on demand reads only; stores rarely train
@@ -300,34 +305,30 @@ SimCore::installIntoL1(Addr line, bool is_write, Picos fill_time)
 }
 
 void
+SimCore::reclaimMshrs()
+{
+    while (!mshrBusy.empty() && mshrBusy.front() <= timePs) {
+        std::pop_heap(mshrBusy.begin(), mshrBusy.end(),
+                      std::greater<Picos>{});
+        mshrBusy.pop_back();
+    }
+}
+
+void
 SimCore::reserveMshr()
 {
-    // Reclaim completed entries (swap-erase keeps this O(n), and n is
-    // the MSHR count, which is small).
-    for (std::size_t i = 0; i < mshrBusy.size();) {
-        if (mshrBusy[i] <= timePs) {
-            mshrBusy[i] = mshrBusy.back();
-            mshrBusy.pop_back();
-        } else {
-            ++i;
-        }
-    }
+    // mshrBusy's front is the earliest completion, so popping from
+    // the front frees exactly the entries that have completed, and a
+    // stall waits for the earliest one; no entry is ever scanned.
+    reclaimMshrs();
     if (mshrBusy.size() < mc.core.mshrs)
         return;
 
     // All MSHRs busy: stall until the earliest completes.
-    auto earliest = std::min_element(mshrBusy.begin(), mshrBusy.end());
-    ctrs.mshrStall += *earliest - timePs;
-    timePs = *earliest;
+    ctrs.mshrStall += mshrBusy.front() - timePs;
+    timePs = mshrBusy.front();
     carryPs = 0.0;
-    for (std::size_t i = 0; i < mshrBusy.size();) {
-        if (mshrBusy[i] <= timePs) {
-            mshrBusy[i] = mshrBusy.back();
-            mshrBusy.pop_back();
-        } else {
-            ++i;
-        }
-    }
+    reclaimMshrs();
 }
 
 } // namespace memsense::sim

@@ -146,6 +146,27 @@ class SimCore
     const Clock &clock() const { return clk; }
 
   private:
+    /**
+     * How many ops ahead of the op being applied runUntil() prefetches
+     * the L2 and LLC set blocks of a load or store, so that the host
+     * fetches a tag array while earlier ops execute.
+     */
+    static constexpr std::size_t kPrefetchAhead = 8;
+
+    /**
+     * Host-prefetch the private L2 and shared LLC set blocks that
+     * @p op's access will scan (a no-op for ops without one). A hint
+     * only; see SetAssocCache::prefetchSet().
+     */
+    [[gnu::always_inline]] void prefetchSets(const MicroOp &op) const
+    {
+        if (op.kind == OpKind::Load || op.kind == OpKind::Store) {
+            const Addr line = op.addr >> kLineShift;
+            l2c.prefetchSet(line);
+            llc.prefetchSet(line);
+        }
+    }
+
     /** Advance local time by a (possibly fractional) cycle count. */
     void advanceCycles(double cycles);
 
@@ -180,6 +201,9 @@ class SimCore
 
     /** Reclaim completed MSHRs; stall if all are busy. */
     void reserveMshr();
+
+    /** Pop every MSHR whose miss has completed by now. */
+    void reclaimMshrs();
 
     int id;
     const MachineConfig &mc;
@@ -216,7 +240,9 @@ class SimCore
      */
     bool issueDivExact = false;
     Picos robWindowPs;    ///< run-ahead slack for independent loads
-    std::vector<Picos> mshrBusy; ///< outstanding miss completion times
+    /** Outstanding miss completion times, a min-heap (earliest at
+     *  front(), ordered by std::greater). */
+    std::vector<Picos> mshrBusy;
     std::vector<Picos> pfBusy;   ///< outstanding prefetch completions
     std::vector<Addr> pfCandidates; ///< scratch for prefetch candidates
     CoreCounters ctrs;

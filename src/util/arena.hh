@@ -153,8 +153,13 @@ class Arena
 
         static Block make(std::size_t capacity)
         {
+            // Not zero-filled: every consumer writes before it reads
+            // (AlignedSlab::init zeroes on request, containers
+            // construct their elements), and a zero-fill touches
+            // every page of a block that a batch barely uses and of
+            // a cache slab its constructor is about to initialize.
             Block b;
-            b.data = std::make_unique<unsigned char[]>(capacity);
+            b.data = std::make_unique_for_overwrite<unsigned char[]>(capacity);
             b.capacity = capacity;
             Arena::poison(b.data.get(), capacity);
             return b;

@@ -36,25 +36,22 @@ Workload::next(sim::MicroOp &op)
 std::size_t
 Workload::acquireRun(const sim::MicroOp **run)
 {
-    // Same refill protocol as next(): a false generateBatch() may
-    // still have pushed a final partial batch.
-    while (pos >= buf.size()) {
-        if (ended)
-            return 0;
-        buf.clear();
-        pos = 0;
-        if (!generateBatch()) {
+    // Drop what earlier runs or next() consumed, then generate units
+    // until the run is long enough. A false generateBatch() may still
+    // have pushed a final partial batch; after it, nothing more is
+    // generated.
+    buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(pos));
+    pos = 0;
+    while (!ended && buf.size() < kMinRunOps) {
+        const std::size_t before = buf.size();
+        if (!generateBatch())
             ended = true;
-            if (buf.empty())
-                return 0;
-        }
-        MS_INVARIANT(ended || !buf.empty(),
+        MS_INVARIANT(ended || buf.size() > before,
                      _name, ": generateBatch produced no ops");
     }
-    *run = buf.data() + pos;
-    const std::size_t n = buf.size() - pos;
+    *run = buf.data();
     pos = buf.size();
-    return n;
+    return pos;
 }
 
 void
@@ -62,10 +59,9 @@ Workload::pushCompute(std::uint32_t instructions)
 {
     if (instructions == 0)
         return;
-    sim::MicroOp op;
+    sim::MicroOp &op = buf.emplace_back();
     op.kind = sim::OpKind::Compute;
     op.count = instructions;
-    buf.push_back(op);
 }
 
 void
@@ -73,10 +69,9 @@ Workload::pushBubble(std::uint32_t cycles)
 {
     if (cycles == 0)
         return;
-    sim::MicroOp op;
+    sim::MicroOp &op = buf.emplace_back();
     op.kind = sim::OpKind::Bubble;
     op.count = cycles;
-    buf.push_back(op);
 }
 
 void
@@ -84,40 +79,36 @@ Workload::pushIdle(std::uint32_t cycles)
 {
     if (cycles == 0)
         return;
-    sim::MicroOp op;
+    sim::MicroOp &op = buf.emplace_back();
     op.kind = sim::OpKind::Idle;
     op.count = cycles;
-    buf.push_back(op);
 }
 
 void
 Workload::pushLoad(sim::Addr addr, bool dependent, std::uint16_t stream)
 {
-    sim::MicroOp op;
+    sim::MicroOp &op = buf.emplace_back();
     op.kind = sim::OpKind::Load;
     op.addr = addr;
     op.dependent = dependent;
     op.stream = stream;
-    buf.push_back(op);
 }
 
 void
 Workload::pushStore(sim::Addr addr, std::uint16_t stream)
 {
-    sim::MicroOp op;
+    sim::MicroOp &op = buf.emplace_back();
     op.kind = sim::OpKind::Store;
     op.addr = addr;
     op.stream = stream;
-    buf.push_back(op);
 }
 
 void
 Workload::pushNtStore(sim::Addr addr)
 {
-    sim::MicroOp op;
+    sim::MicroOp &op = buf.emplace_back();
     op.kind = sim::OpKind::NtStore;
     op.addr = addr;
-    buf.push_back(op);
 }
 
 } // namespace memsense::workloads

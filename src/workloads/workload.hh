@@ -39,8 +39,19 @@ class Workload : public sim::OpStream
      * Zero-copy run handout: points @p run into the batch buffer
      * (refilled from generateBatch() as needed) — same sequence
      * next() would produce, without a virtual call or copy per op.
+     * A run holds at least kMinRunOps ops unless the stream ends
+     * inside it: small units (the MLC agents emit two or three ops)
+     * are generated back to back until the run is that long.
      */
     std::size_t acquireRun(const sim::MicroOp **run) final;
+
+    /**
+     * Minimum ops per acquireRun() run of a stream that has not
+     * ended. Long runs leave the core room to look ahead for host
+     * prefetches and spread the per-run cost over many ops; the op
+     * sequence itself does not depend on it.
+     */
+    static constexpr std::size_t kMinRunOps = 64;
 
     /** Workload id. */
     const std::string &name() const { return _name; }

@@ -16,6 +16,10 @@
  * exact RunConfig; regenerating it requires checking out a pre-SoA
  * tree, so treat a mismatch as a bug in the refactor, not a stale
  * fixture.
+ *
+ * The MLC rows pin the Fig. 7 loaded-latency machine the same way:
+ * the LLC-miss, MSHR-stall and DRAM-queue path that the workload rows
+ * barely reach, including non-temporal stores.
  */
 
 #include <gtest/gtest.h>
@@ -23,10 +27,14 @@
 #include <cstdint>
 #include <string>
 
+#include <memory>
+#include <vector>
+
 #include "measure/runner.hh"
 #include "sim/machine.hh"
 #include "util/log.hh"
 #include "util/units.hh"
+#include "workloads/latency_checker.hh"
 
 using namespace memsense;
 
@@ -189,6 +197,168 @@ INSTANTIATE_TEST_SUITE_P(
     AllWorkloads, SimEquivalence, ::testing::ValuesIn(kGolden),
     [](const ::testing::TestParamInfo<GoldenCounters> &param_info) {
         return std::string(workloadId(param_info.param.workload));
+    });
+
+// ----------------------------------------------------------- MLC rows
+
+// The generator mix an MLC row runs (a value, for stable test names).
+enum class MlcMix : std::uint64_t
+{
+    AllReads, ///< readFraction 1: every generator access is a load
+    TwoToOne, ///< readFraction 2/3: a third are non-temporal stores
+};
+
+double
+readFractionOf(MlcMix mix)
+{
+    return mix == MlcMix::AllReads ? 1.0 : 2.0 / 3.0;
+}
+
+const char *
+mixName(MlcMix mix)
+{
+    return mix == MlcMix::AllReads ? "all_reads" : "two_to_one";
+}
+
+struct MlcGolden
+{
+    MlcMix mix;
+    // MachineSnapshot totals.
+    std::uint64_t instructions, memoryFetches, writebacks;
+    Picos busyTime, dramLatencyTotal;
+    // Shared-LLC stats.
+    std::uint64_t llcHits, llcMisses, llcFills, llcEvictions;
+    // Memory-controller aggregate stats.
+    std::uint64_t mcReads, mcWrites;
+    Picos mcTotalReadLatency;
+    // Channel-0 stats.
+    std::uint64_t ch0Reads, ch0Writes, ch0RowHits;
+    Picos ch0BusBusy, ch0QueueDelay;
+    // Core 0, the latency probe.
+    std::uint64_t probeInstructions, probeFetches;
+    Picos probeDepStall, probeDramLatency;
+    // Core 1, a bandwidth generator.
+    std::uint64_t genInstructions, genLoads, genNtStores, genL2Misses;
+    Picos genMshrStall, genRobStall, genBusyTime;
+};
+
+// Captured before the simulator's look-ahead set prefetch, minimum op
+// run length and MSHR heap went in, all of which promise identical
+// counters. One row per generator mix of the paper's Fig. 7 cases.
+constexpr MlcGolden kMlcGolden[] = {
+    {MlcMix::AllReads,
+     117224ull, 58461ull, 0ull,
+     639989368ull, 15759389270ull,
+     18ull, 87884ull, 87884ull, 87884ull,
+     87884ull, 0ull, 23672870794ull,
+     21915ull, 0ull, 3ull, 117398655ull, 4202534378ull,
+     1126ull, 376ull, 119961368ull, 119961368ull,
+     25011ull, 12506ull, 0ull, 12504ull, 117687543ull, 0ull, 120001060ull},
+    {MlcMix::TwoToOne,
+     119061ull, 39748ull, 19681ull,
+     639833031ull, 15764900353ull,
+     5ull, 60026ull, 60026ull, 60026ull,
+     60026ull, 29468ull, 23688599726ull,
+     15049ull, 7379ull, 3ull, 120146796ull, 9892352484ull,
+     808ull, 270ull, 120317654ull, 120317654ull,
+     25683ull, 8567ull, 4275ull, 8567ull, 117640507ull, 0ull, 120016184ull},
+};
+
+class SimEquivalenceMlc : public ::testing::TestWithParam<MlcGolden>
+{
+};
+
+/**
+ * The Fig. 7 loaded-latency machine at its heaviest point: one
+ * pointer-chasing probe and seven bandwidth generators with no
+ * injected delay, 28 MSHRs per core (built as measure/loaded_latency
+ * builds it). This is the LLC-miss, MSHR-stall and DRAM-queue path,
+ * fed by the MLC generators' two- and three-op units.
+ */
+TEST_P(SimEquivalenceMlc, BitIdenticalToGolden)
+{
+    const MlcGolden &g = GetParam();
+    setLogLevel(LogLevel::Warn);
+
+    constexpr int kCores = 8;
+    constexpr std::uint64_t kSeed = 7;
+    sim::MachineConfig mc;
+    mc.cores = kCores;
+    mc.core.ghz = 2.7;
+    mc.core.mshrs = 28;
+    mc.dram.channels = 4;
+    mc.dram.megaTransfers = 1866.7;
+    mc.seed = kSeed;
+    sim::Machine m(mc);
+    std::vector<std::unique_ptr<workloads::LatencyCheckerWorkload>> agents;
+    for (int c = 0; c < kCores; ++c) {
+        workloads::LatencyCheckerConfig lc;
+        lc.role = c == 0 ? workloads::MlcRole::LatencyProbe
+                         : workloads::MlcRole::BandwidthGen;
+        lc.seed = kSeed * 131 + static_cast<std::uint64_t>(c);
+        lc.readFraction = readFractionOf(g.mix);
+        lc.delayCycles = 0;
+        lc.arenaBase = (sim::Addr{1} << 44) +
+                       static_cast<sim::Addr>(c) * (sim::Addr{1} << 42);
+        agents.push_back(
+            std::make_unique<workloads::LatencyCheckerWorkload>(lc));
+        m.bind(c, *agents.back());
+    }
+    m.runFor(nsToPicos(40'000.0));
+    const sim::MachineSnapshot before = m.snapshot();
+    m.runFor(nsToPicos(80'000.0));
+    const sim::MachineSnapshot d = m.snapshot() - before;
+
+    const sim::CoreCounters &probe = m.core(0).counters();
+    const sim::CoreCounters &gen = m.core(1).counters();
+    const sim::CacheStats &llc = m.llc().stats();
+    const sim::MemCtrlStats &mcs = m.memctrl().stats();
+    const sim::ChannelStats &ch0 = m.memctrl().channelStats(0);
+
+    EXPECT_EQ(d.instructions, g.instructions);
+    EXPECT_EQ(d.memoryFetches, g.memoryFetches);
+    EXPECT_EQ(d.writebacks, g.writebacks);
+    EXPECT_EQ(d.busyTime, g.busyTime);
+    EXPECT_EQ(d.dramLatencyTotal, g.dramLatencyTotal);
+
+    EXPECT_EQ(llc.hits, g.llcHits);
+    EXPECT_EQ(llc.misses, g.llcMisses);
+    EXPECT_EQ(llc.fills, g.llcFills);
+    EXPECT_EQ(llc.evictions, g.llcEvictions);
+
+    EXPECT_EQ(mcs.reads, g.mcReads);
+    EXPECT_EQ(mcs.writes, g.mcWrites);
+    EXPECT_EQ(mcs.totalReadLatency, g.mcTotalReadLatency);
+
+    EXPECT_EQ(ch0.reads, g.ch0Reads);
+    EXPECT_EQ(ch0.writes, g.ch0Writes);
+    EXPECT_EQ(ch0.rowHits, g.ch0RowHits);
+    EXPECT_EQ(ch0.busBusy, g.ch0BusBusy);
+    EXPECT_EQ(ch0.queueDelay, g.ch0QueueDelay);
+
+    EXPECT_EQ(probe.instructions, g.probeInstructions);
+    EXPECT_EQ(probe.memoryFetches(), g.probeFetches);
+    EXPECT_EQ(probe.depStall, g.probeDepStall);
+    EXPECT_EQ(probe.dramLatencyTotal, g.probeDramLatency);
+
+    EXPECT_EQ(gen.instructions, g.genInstructions);
+    EXPECT_EQ(gen.loads, g.genLoads);
+    EXPECT_EQ(gen.ntStores, g.genNtStores);
+    EXPECT_EQ(m.core(1).l2().stats().misses, g.genL2Misses);
+    EXPECT_EQ(gen.mshrStall, g.genMshrStall);
+    EXPECT_EQ(gen.robStall, g.genRobStall);
+    EXPECT_EQ(gen.busyTime, g.genBusyTime);
+    // The row must reach the path it pins.
+    EXPECT_GT(gen.mshrStall, 0u);
+    if (g.mix == MlcMix::TwoToOne) {
+        EXPECT_GT(gen.ntStores, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fig7Delay0, SimEquivalenceMlc, ::testing::ValuesIn(kMlcGolden),
+    [](const ::testing::TestParamInfo<MlcGolden> &param_info) {
+        return std::string(mixName(param_info.param.mix));
     });
 
 } // namespace

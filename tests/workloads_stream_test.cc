@@ -1,15 +1,18 @@
 /**
  * @file
  * Property tests over every workload generator: determinism, op-
- * stream sanity, address-arena containment, and per-workload
- * signature checks (op mixes that define each workload's character).
+ * stream sanity, address-arena containment, per-workload signature
+ * checks (op mixes that define each workload's character), and the
+ * run handout (acquireRun) against the per-op next() sequence.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "workloads/factory.hh"
 #include "workloads/latency_checker.hh"
@@ -90,6 +93,52 @@ profileStream(sim::OpStream &stream, std::uint64_t n = 200'000)
     return p;
 }
 
+/** True when every field of two ops matches. */
+bool
+sameOp(const sim::MicroOp &a, const sim::MicroOp &b)
+{
+    return a.kind == b.kind && a.addr == b.addr && a.count == b.count &&
+           a.dependent == b.dependent && a.stream == b.stream;
+}
+
+/**
+ * Drain @p runs through acquireRun() until it returns 0 or @p limit
+ * ops were handed out, and check the concatenated runs against
+ * @p twin's next() sequence. Every run must hold at least
+ * Workload::kMinRunOps ops, except the last one of a stream that
+ * ended. Returns the run lengths.
+ */
+std::vector<std::size_t>
+expectRunsMatchNext(Workload &runs, Workload &twin, std::size_t limit)
+{
+    std::vector<std::size_t> lengths;
+    std::size_t seen = 0;
+    sim::MicroOp op;
+    while (seen < limit) {
+        const sim::MicroOp *run = nullptr;
+        const std::size_t n = runs.acquireRun(&run);
+        if (n == 0) {
+            EXPECT_FALSE(twin.next(op)) << "runs ended before next()";
+            break;
+        }
+        if (!lengths.empty()) {
+            EXPECT_GE(lengths.back(), Workload::kMinRunOps)
+                << "short run that did not end the stream";
+        }
+        lengths.push_back(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_TRUE(twin.next(op)) << "next() ended early at op "
+                                       << seen + i;
+            if (!sameOp(run[i], op)) {
+                ADD_FAILURE() << "op " << seen + i << " differs";
+                return lengths;
+            }
+        }
+        seen += n;
+    }
+    return lengths;
+}
+
 /** Parameterized over all twelve catalog workloads. */
 class EveryWorkload : public ::testing::TestWithParam<std::string>
 {
@@ -155,6 +204,32 @@ TEST_P(EveryWorkload, AddressesStayWithinTheCoreArena)
     EXPECT_GE(p.minAddr, arena_base) << GetParam();
     EXPECT_LT(p.maxAddr, arena_base + (sim::Addr{1} << 42))
         << GetParam();
+}
+
+TEST_P(EveryWorkload, RunsMatchNextAndMeetTheMinimumLength)
+{
+    auto runs = makeWorkload(GetParam(), 1, 9);
+    auto twin = makeWorkload(GetParam(), 1, 9);
+    const std::vector<std::size_t> lengths =
+        expectRunsMatchNext(*runs, *twin, 50'000);
+    ASSERT_FALSE(lengths.empty());
+    EXPECT_GE(lengths.back(), Workload::kMinRunOps) << GetParam();
+}
+
+TEST_P(EveryWorkload, RunsResumeAfterPartlyConsumedBatch)
+{
+    // next() leaves part of a batch unconsumed; the following run
+    // starts with exactly those ops.
+    auto runs = makeWorkload(GetParam(), 0, 4);
+    auto twin = makeWorkload(GetParam(), 0, 4);
+    sim::MicroOp a;
+    sim::MicroOp b;
+    for (int i = 0; i < 5; ++i) {
+        ASSERT_TRUE(runs->next(a));
+        ASSERT_TRUE(twin->next(b));
+        ASSERT_TRUE(sameOp(a, b));
+    }
+    expectRunsMatchNext(*runs, *twin, 10'000);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -244,6 +319,102 @@ TEST(LatencyChecker, GeneratorHonorsMixAndDelay)
     EXPECT_NEAR(reads / (reads + writes), 0.67, 0.03);
     EXPECT_EQ(p.dependentLoads, 0u);
     EXPECT_GT(p.bubbleCycles, 0u);
+}
+
+/** Both MLC roles, with a write mix and an injected delay. */
+class MlcRuns : public ::testing::TestWithParam<MlcRole>
+{
+};
+
+TEST_P(MlcRuns, RunsMatchNextAndMeetTheMinimumLength)
+{
+    for (std::uint32_t delay : {0u, 32u}) {
+        LatencyCheckerConfig cfg;
+        cfg.role = GetParam();
+        cfg.seed = 917;
+        cfg.readFraction = 0.67;
+        cfg.delayCycles = delay;
+        LatencyCheckerWorkload runs(cfg);
+        LatencyCheckerWorkload twin(cfg);
+        const std::vector<std::size_t> lengths =
+            expectRunsMatchNext(runs, twin, 20'000);
+        ASSERT_FALSE(lengths.empty());
+        EXPECT_GE(lengths.back(), Workload::kMinRunOps);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothRoles, MlcRuns,
+    ::testing::Values(MlcRole::LatencyProbe, MlcRole::BandwidthGen),
+    [](const auto &p) {
+        return p.param == MlcRole::LatencyProbe ? "probe" : "generator";
+    });
+
+/**
+ * A stream that ends: @p units three-op units, then a generateBatch()
+ * that returns false, after pushing one last op when @p tail is set
+ * (the final partial batch the end-of-stream protocol hands out).
+ */
+class FiniteWorkload final : public Workload
+{
+  public:
+    FiniteWorkload(int units_in, bool tail_in)
+        : Workload("finite", 3), units(units_in), tail(tail_in)
+    {
+    }
+
+    int calls = 0; ///< generateBatch() calls so far
+
+  protected:
+    bool
+    generateBatch() override
+    {
+        ++calls;
+        if (emitted == units) {
+            if (tail)
+                pushLoad(sim::Addr{1} << 30, true, 0);
+            return false;
+        }
+        const sim::Addr addr = sim::Addr{64} * static_cast<sim::Addr>(emitted);
+        pushLoad(addr, false, 1);
+        pushCompute(static_cast<std::uint32_t>(emitted) + 1);
+        pushStore(addr, 2);
+        ++emitted;
+        return true;
+    }
+
+  private:
+    int units;
+    bool tail;
+    int emitted = 0;
+};
+
+TEST(WorkloadRuns, EndOfStreamHandsOutTheTailThenZeroForever)
+{
+    for (int units : {0, 1, 21, 22, 100}) {
+        for (bool tail : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << units << " units, tail " << tail);
+            FiniteWorkload runs(units, tail);
+            FiniteWorkload twin(units, tail);
+            const std::vector<std::size_t> lengths =
+                expectRunsMatchNext(runs, twin, 1'000'000);
+            std::size_t total = 0;
+            for (std::size_t n : lengths)
+                total += n;
+            EXPECT_EQ(total, static_cast<std::size_t>(3 * units) +
+                                 (tail ? 1u : 0u));
+            // The end latches: no further generateBatch() calls, and
+            // every later call returns 0 (next() returns false).
+            const int calls = runs.calls;
+            const sim::MicroOp *run = nullptr;
+            EXPECT_EQ(runs.acquireRun(&run), 0u);
+            EXPECT_EQ(runs.acquireRun(&run), 0u);
+            sim::MicroOp op;
+            EXPECT_FALSE(runs.next(op));
+            EXPECT_EQ(runs.calls, calls);
+        }
+    }
 }
 
 TEST(Layout, RegionsAreDisjointAndAligned)
