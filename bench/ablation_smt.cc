@@ -35,8 +35,6 @@ main(int argc, char **argv)
         model::Platform plat = model::Platform::paperBaseline();
         plat.smt = smt;
         for (const auto &p : model::paper::classParams()) {
-            // memsense-lint: allow(no-uncached-batch-solve): every
-            // (smt, class, latency) point is solved exactly once
             model::OperatingPoint op = solver.solve(p, plat);
             // Demand at the compulsory-latency CPI (no queue feedback).
             double cpi0 = model::effectiveCpi(

@@ -62,8 +62,6 @@ main(int argc, char **argv)
     plat.remoteFraction = 0.5;
     for (double link : {4.0, 8.0, 16.0, 32.0, 64.0}) {
         plat.interconnectGBps = link;
-        // memsense-lint: allow(no-uncached-batch-solve): multi-socket
-        // extension solver; every link width is solved exactly once
         auto pt = solver.solve(
             model::paper::classParams(model::WorkloadClass::Hpc), plat);
         t.addRow({formatDouble(link, 0), formatDouble(pt.cpiEff, 3),

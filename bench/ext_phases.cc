@@ -62,8 +62,6 @@ main(int argc, char **argv)
         model::Platform plat = base;
         plat.memory = mem;
         model::PhasedPoint phased = job.evaluate(solver, plat);
-        // memsense-lint: allow(no-uncached-batch-solve): one averaged
-        // point per memory variant; the grid never repeats a point
         double averaged = solver.solve(avg, plat).cpiEff;
         bool any_bound = false;
         for (const auto &op : phased.perPhase)

@@ -27,37 +27,24 @@ main(int argc, char **argv)
            "Queuing delay vs. bandwidth utilization (MLC clone: 1 "
            "latency probe + 7 bandwidth generators)");
 
-    const measure::ResilienceConfig resilience =
-        resilienceArgs(argc, argv);
     auto setups = measure::paperFig7Setups();
-    for (std::size_t i = 0; i < setups.size(); ++i) {
-        auto &s = setups[i];
+    std::size_t total_points = 0;
+    for (auto &s : setups) {
         s.jobs = jobsArg(argc, argv);
         if (fast) {
             s.delayCycles = {0, 8, 24, 48, 96, 256, 1024, 2048};
             s.measure = nsToPicos(200'000.0);
         }
-        s.resilience = resilience;
-        if (!resilience.checkpointPath.empty())
-            s.resilience.checkpointPath =
-                resilience.checkpointPath + ".mlc" + std::to_string(i);
+        s.resilience = resilienceArgs(argc, argv);
+        total_points += s.delayCycles.size();
     }
 
     measure::FailureManifest manifest;
-    std::size_t total_points = 0;
     std::vector<stats::PiecewiseCurve> curves;
     measure::PhaseTimer phase("sweep");
-    for (const auto &setup : setups) {
-        measure::LoadedLatencyCurve c;
-        if (resilience.enabled()) {
-            measure::ResilientLoadedLatency r =
-                measure::sweepLoadedLatencyResilient(setup);
-            manifest.merge(r.manifest);
-            total_points += r.totalJobs;
-            c = std::move(r.curve);
-        } else {
-            c = measure::sweepLoadedLatency(setup);
-        }
+    for (const measure::LoadedLatencyCurve &c :
+         measure::sweepLoadedLatencyFamily(setups, &manifest)) {
+        const measure::LoadedLatencySetup &setup = c.setup;
         std::cout << strformat(
             "\n-- DDR3-%.0f, %.0f%% reads: unloaded %.1f ns, "
             "achievable %.1f GB/s --\n",
@@ -107,7 +94,6 @@ main(int argc, char **argv)
                   "above at matched utilization.");
     t.print(std::cout);
     csvBlock("fig07_composite", {"util", "queuing_ns"}, csv);
-    if (resilience.enabled())
-        reportFailures("fig07", manifest, total_points);
+    reportFailures("fig07", manifest, total_points);
     return 0;
 }

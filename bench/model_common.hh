@@ -21,9 +21,9 @@ namespace memsense::bench
 
 /**
  * Build the solver; --measured derives the queuing curve via MLC.
- * With any fault-tolerance flag set, the MLC sweeps run through the
- * resilient path: failing delay points are retried then dropped (and
- * reported), and --checkpoint makes the sweep family resumable.
+ * With any fault-tolerance flag set, failing delay points of the MLC
+ * sweeps are retried then dropped (and reported), and --checkpoint
+ * makes the sweep family resumable.
  */
 inline model::Solver
 makeSolver(int argc, char **argv)
@@ -33,21 +33,16 @@ makeSolver(int argc, char **argv)
             inform("measuring the queuing model on the simulator "
                    "(Fig. 7 procedure) ...");
             auto setups = measure::paperFig7Setups();
+            std::size_t points = 0;
             for (auto &s : setups) {
                 s.delayCycles = {0, 8, 16, 32, 48, 96, 256, 1024};
                 s.measure = nsToPicos(250'000.0);
-            }
-            const measure::ResilienceConfig rc =
-                resilienceArgs(argc, argv);
-            if (!rc.enabled())
-                return model::Solver(
-                    measure::measureQueuingModel(setups));
-            measure::FailureManifest manifest;
-            model::Solver solver(measure::measureQueuingModelResilient(
-                setups, rc, &manifest));
-            std::size_t points = 0;
-            for (const auto &s : setups)
+                s.resilience = resilienceArgs(argc, argv);
                 points += s.delayCycles.size();
+            }
+            measure::FailureManifest manifest;
+            model::Solver solver(
+                measure::measureQueuingModel(setups, 24, 0.95, &manifest));
             reportFailures("mlc", manifest, points);
             return solver;
         }

@@ -25,7 +25,6 @@
 #include "sim/machine.hh"
 #include "stats/regression.hh"
 #include "util/log.hh"
-#include "util/trace.hh"
 #include "workloads/factory.hh"
 
 using namespace memsense;
@@ -309,10 +308,8 @@ BM_MlcPoint(benchmark::State &state)
     measure::LoadedLatencySetup setup;
     setup.delayCycles = {0};
     setup.measure = nsToPicos(200'000.0);
-    for (auto _ : state) {
-        MS_TRACE_SPAN("perf_microbench.mlc_point");
+    for (auto _ : state)
         benchmark::DoNotOptimize(measure::sweepLoadedLatency(setup));
-    }
 }
 BENCHMARK(BM_MlcPoint)->Apply(applyRepetitions);
 

@@ -52,6 +52,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -190,6 +191,28 @@ extractNumber(const std::string &doc, const std::string &key,
         return false;
     value_out = std::strtod(doc.c_str() + pos + needle.size(), nullptr);
     return true;
+}
+
+/**
+ * Nanoseconds per unit of a google-benchmark row's `"time_unit"`
+ * ("ns" when the row names none).
+ */
+double
+nsPerTimeUnit(const std::string &row)
+{
+    const std::string needle = "\"time_unit\": \"";
+    const std::size_t pos = row.find(needle);
+    if (pos == std::string::npos)
+        return 1.0;
+    const std::string_view unit =
+        std::string_view(row).substr(pos + needle.size());
+    if (unit.starts_with("us\""))
+        return 1e3;
+    if (unit.starts_with("ms\""))
+        return 1e6;
+    if (unit.starts_with("s\""))
+        return 1e9;
+    return 1.0;
 }
 
 /**
@@ -362,6 +385,7 @@ runMicrobench(const std::string &binDir, const std::string &filter,
         double rt = 0.0;
         if (!extractNumber(row, "real_time", rt))
             continue;
+        rt *= nsPerTimeUnit(row);
         name.erase(name.size() - (isMedian ? 7 : 4));
         // Strip the "/repeats:K" suffix benchmark appends.
         const std::size_t rep = name.find("/repeats:");

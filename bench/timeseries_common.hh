@@ -47,17 +47,11 @@ runTimeSeries(const std::string &exp_id,
         cfgs.push_back(cfg);
     }
 
-    std::vector<measure::TimeSeries> series;
     measure::PhaseTimer phase("sweep");
-    if (resilience.enabled()) {
-        measure::ResilientTimeSeriesBatch batch =
-            measure::captureTimeSeriesBatchResilient(cfgs, jobs,
-                                                     resilience);
-        reportFailures(exp_id, batch.manifest, batch.totalJobs);
-        series = std::move(batch.results);
-    } else {
-        series = measure::captureTimeSeriesBatch(cfgs, jobs);
-    }
+    measure::FailureManifest manifest;
+    const std::vector<measure::TimeSeries> series =
+        measure::captureTimeSeriesBatch(cfgs, jobs, resilience, &manifest);
+    reportFailures(exp_id, manifest, cfgs.size());
 
     // Index by the series' own workload id: with quarantined captures
     // the surviving list can be shorter than ids.

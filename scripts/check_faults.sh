@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Build the tree with AddressSanitizer and run the fault-tolerance
-# suite: retry policy, fault-injection harness, and the resilient
-# executor (quarantine, deadlines, checkpoint/resume). Injected faults
-# exercise every error path, so a clean exit means the retry loops,
-# exception capture, and journal replay leak and corrupt nothing even
-# while faults are firing.
+# suite: retry policy, fault-injection harness, and the sweep engine
+# (quarantine, deadlines, checkpoint/resume). Injected faults exercise
+# every error path, so a clean exit means the retry loops, exception
+# capture, and journal replay leak and corrupt nothing even while
+# faults are firing. The measure drivers' own suites run here too:
+# every sweep, strict ones included, runs through the same engine.
 #
 # Usage: scripts/check_faults.sh [build_dir]
 set -euo pipefail
@@ -22,13 +23,14 @@ cmake -B "${build_dir}" -S "${repo_root}" \
 # accept/read/parse/enqueue/solve/write path.
 cmake --build "${build_dir}" -j \
     --target util_retry_test util_fault_injection_test \
-    measure_resilience_test serve_evaluator_test \
-    serve_server_test serve_loadgen_test serve_soak_test
+    measure_resilience_test measure_parallel_test measure_test \
+    serve_evaluator_test serve_server_test serve_loadgen_test \
+    serve_soak_test
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 
 ctest --test-dir "${build_dir}" --output-on-failure \
-    -R 'Retry|FaultInjection|MeasureResilienceTest|EvaluatorFault|ServeServer|ServeSoak|LoadgenRun|LoadgenRequestLine'
+    -R 'Retry|FaultInjection|MeasureResilienceTest|MeasureParallelTest|MeasureTest|EvaluatorFault|ServeServer|ServeSoak|LoadgenRun|LoadgenRequestLine'
 
-echo "Fault check passed: retry, injection, checkpoint, and serving" \
-     "paths are clean under ASan."
+echo "Fault check passed: retry, injection, checkpoint, sweep, and" \
+     "serving paths are clean under ASan."

@@ -1,6 +1,9 @@
 /**
  * @file
- * Sweep checkpointing: append-only result journal + resume.
+ * Sweep checkpointing (append-only result journal + resume), and
+ * runSweep(), which every measure/ sweep goes through: the journal
+ * plus the strict or fault-tolerant policy of the sweep's
+ * ResilienceConfig.
  *
  * A checkpointed sweep streams every settled job to a journal file as
  * it completes; an interrupted run can then resume from the journal
@@ -105,18 +108,18 @@ class CheckpointJournal
 std::string checkpointRunKey(const std::string &descriptor);
 
 /**
- * Checkpointed resilient map: like mapOrderedResilient(), plus every
+ * Checkpointed map: like ParallelExecutor::mapSettled(), plus every
  * settled job is streamed to the journal at @p journal_path, and jobs
  * already settled successfully in a previous run are restored instead
  * of re-run (their JobResult reports attempts == 0). Failed or missing
  * jobs re-run with their original retry streams, so the merged result
  * vector is bit-identical to an uninterrupted sweep.
  *
- * With an empty @p journal_path this is exactly mapOrderedResilient().
+ * With an empty @p journal_path this is exactly mapSettled().
  */
 template <typename Job, typename Fn>
 auto
-mapOrderedResilientCheckpointed(
+mapSettledCheckpointed(
     const ParallelExecutor &exec, const std::vector<Job> &inputs, Fn fn,
     const ResilienceOptions &opts, const std::string &journal_path,
     const std::string &run_key,
@@ -125,7 +128,7 @@ mapOrderedResilientCheckpointed(
 {
     using Result = std::invoke_result_t<Fn, const Job &>;
     if (journal_path.empty())
-        return exec.mapOrderedResilient(inputs, fn, opts);
+        return exec.mapSettled(inputs, fn, opts);
 
     CheckpointJournal journal(journal_path, run_key);
 
@@ -170,11 +173,49 @@ mapOrderedResilientCheckpointed(
         }
     };
     std::vector<JobResult<Result>> fresh =
-        exec.mapIndicesResilient<Result>(pending, by_index, opts,
-                                         stream_record);
+        exec.mapIndices<Result>(pending, by_index, opts, stream_record);
     for (std::size_t k = 0; k < pending.size(); ++k)
         results[pending[k]] = std::move(fresh[k]);
     return results;
+}
+
+/**
+ * Run one measure/ sweep of @p fn over @p inputs on @p jobs workers,
+ * under the policy of @p rc. This is the one path behind
+ * characterizeMany(), sweepLoadedLatency() and captureTimeSeriesBatch().
+ *
+ *  - Strict (rc.enabled() false, the default): each job runs once,
+ *    and once all jobs have settled the lowest-index failure's
+ *    original exception is rethrown — every returned result holds a
+ *    value.
+ *  - Fault-tolerant: jobs retry per rc, settled jobs stream to the
+ *    journal at rc.checkpointPath (when set; @p run_key and @p codec
+ *    describe the journal), and every failed job is appended to
+ *    @p manifest (when non-null) with @p describe(input) as its
+ *    context. The caller keeps the surviving values.
+ */
+template <typename Job, typename Fn, typename Describe>
+auto
+runSweep(const std::vector<Job> &inputs, Fn fn, int jobs,
+         const ResilienceConfig &rc, const std::string &run_key,
+         const CheckpointCodec<std::invoke_result_t<Fn, const Job &>> &codec,
+         FailureManifest *manifest, Describe describe)
+    -> std::vector<JobResult<std::invoke_result_t<Fn, const Job &>>>
+{
+    auto settled =
+        mapSettledCheckpointed(ParallelExecutor(jobs), inputs, fn,
+                               rc.toOptions(), rc.checkpointPath,
+                               run_key, codec);
+    if (!rc.enabled())
+        rethrowFirstFailure(settled);
+    for (const auto &r : settled) {
+        if (r.ok() || !manifest)
+            continue;
+        FailureRecord rec = *r.failure;
+        rec.context = describe(inputs[rec.jobIndex]);
+        manifest->failures.push_back(std::move(rec));
+    }
+    return settled;
 }
 
 } // namespace memsense::measure

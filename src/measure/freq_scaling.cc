@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "measure/checkpoint.hh"
-#include "measure/parallel.hh"
 #include "util/error.hh"
 #include "util/log.hh"
 #include "util/string_util.hh"
@@ -135,18 +134,19 @@ characterizationGrid(const std::string &workload_id,
 }
 
 Characterization
-characterize(const std::string &workload_id, const FreqScalingConfig &cfg)
+characterize(const std::string &workload_id, const FreqScalingConfig &cfg,
+             FailureManifest *manifest)
 {
-    const std::vector<RunConfig> grid =
-        characterizationGrid(workload_id, cfg);
-    ParallelExecutor exec(cfg.jobs);
-    return fitCharacterization(workload_id,
-                               exec.mapOrdered(grid, runGridPoint));
+    std::vector<Characterization> out =
+        characterizeMany({workload_id}, cfg, manifest);
+    requireConfig(!out.empty(),
+                  workload_id + ": too few grid points survived to fit");
+    return std::move(out.front());
 }
 
 std::vector<Characterization>
 characterizeMany(const std::vector<std::string> &ids,
-                 const FreqScalingConfig &cfg)
+                 const FreqScalingConfig &cfg, FailureManifest *manifest)
 {
     // Flatten every workload's grid into one job list so workers stay
     // busy across workload boundaries, then slice the ordered results
@@ -159,73 +159,33 @@ characterizeMany(const std::vector<std::string> &ids,
         all_jobs.insert(all_jobs.end(), grid.begin(), grid.end());
     }
 
-    ParallelExecutor exec(cfg.jobs);
-    std::vector<model::FitObservation> observations =
-        exec.mapOrdered(all_jobs, runGridPoint);
+    std::vector<JobResult<model::FitObservation>> settled = runSweep(
+        all_jobs, runGridPoint, cfg.jobs, cfg.resilience,
+        characterizationRunKey(ids, cfg), fitObservationCodec(), manifest,
+        [](const RunConfig &rc) {
+            return strformat("%s ghz=%.4g mt=%.6g seed=%llu",
+                             rc.workloadId.c_str(), rc.ghz,
+                             rc.memMtPerSec,
+                             static_cast<unsigned long long>(rc.seed));
+        });
 
+    // A workload that lost grid points fits from the survivors, and
+    // needs at least two of them for the two-parameter fit; otherwise
+    // it is skipped and recorded in the manifest.
     const std::size_t per_workload =
-        ids.empty() ? 0 : observations.size() / ids.size();
+        ids.empty() ? 0 : settled.size() / ids.size();
     std::vector<Characterization> out;
     out.reserve(ids.size());
     for (std::size_t w = 0; w < ids.size(); ++w) {
-        auto first = observations.begin() +
-                     static_cast<std::ptrdiff_t>(w * per_workload);
-        out.push_back(fitCharacterization(
-            ids[w], std::vector<model::FitObservation>(
-                        first, first + static_cast<std::ptrdiff_t>(
-                                           per_workload))));
-    }
-    return out;
-}
-
-ResilientCharacterizations
-characterizeManyResilient(const std::vector<std::string> &ids,
-                          const FreqScalingConfig &cfg)
-{
-    std::vector<RunConfig> all_jobs;
-    for (const auto &id : ids) {
-        inform("characterizing " + id + " (fault-tolerant) ...");
-        std::vector<RunConfig> grid = characterizationGrid(id, cfg);
-        all_jobs.insert(all_jobs.end(), grid.begin(), grid.end());
-    }
-
-    ParallelExecutor exec(cfg.jobs);
-    std::vector<JobResult<model::FitObservation>> settled =
-        mapOrderedResilientCheckpointed(
-            exec, all_jobs, runGridPoint, cfg.resilience.toOptions(),
-            cfg.resilience.checkpointPath,
-            characterizationRunKey(ids, cfg), fitObservationCodec());
-
-    ResilientCharacterizations out;
-    out.totalJobs = settled.size();
-    for (std::size_t i = 0; i < settled.size(); ++i) {
-        if (settled[i].ok())
-            continue;
-        FailureRecord rec = *settled[i].failure;
-        const RunConfig &rc = all_jobs[i];
-        rec.context = strformat("%s ghz=%.4g mt=%.6g seed=%llu",
-                                rc.workloadId.c_str(), rc.ghz,
-                                rc.memMtPerSec,
-                                static_cast<unsigned long long>(rc.seed));
-        out.manifest.failures.push_back(std::move(rec));
-    }
-
-    // Slice the settled grid back per workload; a workload needs at
-    // least two surviving observations for the two-parameter fit,
-    // otherwise it is skipped and recorded in the manifest.
-    const std::size_t per_workload =
-        ids.empty() ? 0 : settled.size() / ids.size();
-    for (std::size_t w = 0; w < ids.size(); ++w) {
         std::vector<model::FitObservation> survivors;
-        std::size_t lost = 0;
+        survivors.reserve(per_workload);
         for (std::size_t j = 0; j < per_workload; ++j) {
-            const auto &r = settled[w * per_workload + j];
+            auto &r = settled[w * per_workload + j];
             if (r.ok())
-                survivors.push_back(*r.value);
-            else
-                ++lost;
+                survivors.push_back(std::move(*r.value));
         }
-        if (survivors.size() < 2) {
+        const std::size_t lost = per_workload - survivors.size();
+        if (lost > 0 && survivors.size() < 2) {
             FailureRecord rec;
             rec.jobIndex = w * per_workload;
             rec.context = ids[w];
@@ -234,9 +194,9 @@ characterizeManyResilient(const std::vector<std::string> &ids,
                 "%zu of %zu grid points quarantined; at least 2 "
                 "observations are needed to fit the model",
                 lost, per_workload);
-            rec.fatal = false;
             warn(ids[w] + ": " + rec.message);
-            out.manifest.failures.push_back(std::move(rec));
+            if (manifest)
+                manifest->failures.push_back(std::move(rec));
             continue;
         }
         if (lost > 0)
@@ -244,8 +204,7 @@ characterizeManyResilient(const std::vector<std::string> &ids,
                            "(%zu quarantined)",
                            ids[w].c_str(), survivors.size(),
                            per_workload, lost));
-        out.results.push_back(
-            fitCharacterization(ids[w], std::move(survivors)));
+        out.push_back(fitCharacterization(ids[w], std::move(survivors)));
     }
     return out;
 }

@@ -52,9 +52,9 @@ struct FreqScalingConfig
      *  one per hardware thread. Results are identical for any value. */
     int jobs = 1;
     /** Fault tolerance: retry budget, per-job deadline, checkpoint
-     *  journal (see docs/robustness.md). Only the resilient entry
-     *  points consult this; characterize()/characterizeMany() keep
-     *  the strict first-error-aborts contract. */
+     *  journal (see docs/robustness.md). With no knob set the sweep
+     *  is strict: the first failing grid point's exception aborts
+     *  it once every point has settled. */
     ResilienceConfig resilience;
 };
 
@@ -79,46 +79,35 @@ characterizationGrid(const std::string &workload_id,
  *
  * @param workload_id catalog id
  * @param cfg         sweep configuration
+ * @param manifest    with cfg.resilience set, collects the quarantined
+ *                    grid points; may be null. Throws ConfigError when
+ *                    too few points survive to fit.
  */
 Characterization characterize(const std::string &workload_id,
-                              const FreqScalingConfig &cfg = {});
+                              const FreqScalingConfig &cfg = {},
+                              FailureManifest *manifest = nullptr);
 
 /**
  * Characterize several workloads, pooling every grid point of every
  * workload into one job list so cfg.jobs workers stay busy across
  * workload boundaries.
+ *
+ * With cfg.resilience set, grid points that fail are retried and then
+ * quarantined into @p manifest (when non-null) instead of aborting
+ * the sweep, completed points stream to cfg.resilience.checkpointPath
+ * (when set) for resume, and each fit uses the surviving observations;
+ * a workload left with fewer than two is skipped and recorded as
+ * "FitSkipped". Identical results to the strict sweep when nothing
+ * fails — for any worker count, interrupted or not.
  */
 std::vector<Characterization>
 characterizeMany(const std::vector<std::string> &ids,
-                 const FreqScalingConfig &cfg = {});
+                 const FreqScalingConfig &cfg = {},
+                 FailureManifest *manifest = nullptr);
 
 /** Characterize every catalog workload (Tables 2 + 4 + 5 pipeline). */
 std::vector<Characterization>
 characterizeAll(const FreqScalingConfig &cfg = {});
-
-/** Outcome of a fault-tolerant characterization sweep. */
-struct ResilientCharacterizations
-{
-    /** Workloads whose surviving observations supported a fit. */
-    std::vector<Characterization> results;
-    /** Every quarantined grid point (and any workload whose fit had
-     *  to be skipped), machine-readable. Empty = clean sweep. */
-    FailureManifest manifest;
-    /** Grid points attempted (for manifest summaries). */
-    std::size_t totalJobs = 0;
-};
-
-/**
- * Fault-tolerant characterizeMany(): grid points that fail are
- * retried per cfg.resilience and then quarantined instead of aborting
- * the sweep, completed points stream to cfg.resilience.checkpointPath
- * (when set) for resume, and the fits are computed from the surviving
- * observations. Identical results to characterizeMany() when nothing
- * fails — for any worker count, interrupted or not.
- */
-ResilientCharacterizations
-characterizeManyResilient(const std::vector<std::string> &ids,
-                          const FreqScalingConfig &cfg = {});
 
 } // namespace memsense::measure
 

@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "measure/checkpoint.hh"
-#include "measure/parallel.hh"
 #include "sim/machine.hh"
 #include "util/error.hh"
 #include "util/fault_injection.hh"
@@ -161,66 +160,82 @@ LoadedLatencyCurve::toQueuingSamples() const
 }
 
 LoadedLatencyCurve
-sweepLoadedLatency(const LoadedLatencySetup &setup)
+sweepLoadedLatency(const LoadedLatencySetup &setup,
+                   FailureManifest *manifest)
 {
     requireConfig(setup.cores >= 2,
                   "loaded-latency sweep needs a probe and at least one "
                   "bandwidth generator");
     requireConfig(!setup.delayCycles.empty(), "no delay points");
 
+    std::vector<JobResult<LoadedLatencyPoint>> settled = runSweep(
+        setup.delayCycles,
+        [&setup](const std::uint32_t &delay) {
+            return measurePointLogged(setup, delay);
+        },
+        setup.jobs, setup.resilience, loadedLatencyRunKey(setup),
+        loadedLatencyPointCodec(), manifest,
+        [&setup](const std::uint32_t &delay) {
+            return strformat("mlc mt=%.6g rf=%.2f delay=%u",
+                             setup.memMtPerSec, setup.readFraction,
+                             delay);
+        });
+
     LoadedLatencyCurve curve;
     curve.setup = setup;
-    ParallelExecutor exec(setup.jobs);
-    curve.points = exec.mapOrdered(
-        setup.delayCycles, [&setup](const std::uint32_t &delay) {
-            return measurePointLogged(setup, delay);
-        });
+    curve.points.reserve(settled.size());
+    for (const auto &r : settled) {
+        if (r.ok())
+            curve.points.push_back(*r.value);
+    }
+    const std::size_t lost = settled.size() - curve.points.size();
+    requireConfig(lost == 0 || curve.points.size() >= 2,
+                  strformat("loaded-latency sweep: only %zu of %zu delay "
+                            "points survived; need at least 2 for a curve",
+                            curve.points.size(), settled.size()));
+    if (lost > 0)
+        warn(strformat("loaded-latency sweep: %zu of %zu delay points "
+                       "quarantined",
+                       lost, settled.size()));
     finalizeCurve(curve);
     return curve;
 }
 
-ResilientLoadedLatency
-sweepLoadedLatencyResilient(const LoadedLatencySetup &setup)
+std::vector<LoadedLatencyCurve>
+sweepLoadedLatencyFamily(const std::vector<LoadedLatencySetup> &setups,
+                         FailureManifest *manifest)
 {
-    requireConfig(setup.cores >= 2,
-                  "loaded-latency sweep needs a probe and at least one "
-                  "bandwidth generator");
-    requireConfig(!setup.delayCycles.empty(), "no delay points");
-
-    ParallelExecutor exec(setup.jobs);
-    std::vector<JobResult<LoadedLatencyPoint>> settled =
-        mapOrderedResilientCheckpointed(
-            exec, setup.delayCycles,
-            [&setup](const std::uint32_t &delay) {
-                return measurePointLogged(setup, delay);
-            },
-            setup.resilience.toOptions(), setup.resilience.checkpointPath,
-            loadedLatencyRunKey(setup), loadedLatencyPointCodec());
-
-    ResilientLoadedLatency out;
-    out.totalJobs = settled.size();
-    out.curve.setup = setup;
-    for (std::size_t i = 0; i < settled.size(); ++i) {
-        if (settled[i].ok()) {
-            out.curve.points.push_back(*settled[i].value);
-            continue;
+    std::vector<LoadedLatencyCurve> curves;
+    curves.reserve(setups.size());
+    for (std::size_t i = 0; i < setups.size(); ++i) {
+        LoadedLatencySetup setup = setups[i];
+        if (!setup.resilience.checkpointPath.empty())
+            setup.resilience.checkpointPath += ".mlc" + std::to_string(i);
+        inform(strformat("loaded-latency sweep: DDR-%g, %.0f%% reads",
+                         setup.memMtPerSec, setup.readFraction * 100.0));
+        try {
+            curves.push_back(sweepLoadedLatency(setup, manifest));
+        } catch (const ConfigError &e) {
+            if (!setup.resilience.enabled())
+                throw;
+            // The whole curve failed (fewer than two surviving
+            // points). Quarantine the setup and keep sweeping.
+            warn(strformat("skipping DDR-%g rf=%.2f curve: %s",
+                           setup.memMtPerSec, setup.readFraction,
+                           e.what()));
+            if (manifest) {
+                FailureRecord rec;
+                rec.jobIndex = i;
+                rec.context =
+                    strformat("mlc setup mt=%.6g rf=%.2f",
+                              setup.memMtPerSec, setup.readFraction);
+                rec.errorType = "CurveSkipped";
+                rec.message = e.what();
+                manifest->failures.push_back(std::move(rec));
+            }
         }
-        FailureRecord rec = *settled[i].failure;
-        rec.context = strformat("mlc mt=%.6g rf=%.2f delay=%u",
-                                setup.memMtPerSec, setup.readFraction,
-                                setup.delayCycles[i]);
-        out.manifest.failures.push_back(std::move(rec));
     }
-    requireConfig(out.curve.points.size() >= 2,
-                  strformat("loaded-latency sweep: only %zu of %zu delay "
-                            "points survived; need at least 2 for a curve",
-                            out.curve.points.size(), settled.size()));
-    if (!out.manifest.empty())
-        warn(strformat("loaded-latency sweep: %zu of %zu delay points "
-                       "quarantined",
-                       out.manifest.failures.size(), settled.size()));
-    finalizeCurve(out.curve);
-    return out;
+    return curves;
 }
 
 std::vector<LoadedLatencySetup>
@@ -240,64 +255,16 @@ paperFig7Setups()
 
 model::QueuingModel
 measureQueuingModel(const std::vector<LoadedLatencySetup> &setups,
-                    std::size_t bins, double max_stable_util)
+                    std::size_t bins, double max_stable_util,
+                    FailureManifest *manifest)
 {
     requireConfig(!setups.empty(), "no sweep setups");
     std::vector<stats::PiecewiseCurve> curves;
-    for (const auto &setup : setups) {
-        inform(strformat("loaded-latency sweep: DDR-%g, %.0f%% reads",
-                         setup.memMtPerSec, setup.readFraction * 100.0));
-        LoadedLatencyCurve c = sweepLoadedLatency(setup);
+    for (const LoadedLatencyCurve &c :
+         sweepLoadedLatencyFamily(setups, manifest)) {
         curves.push_back(stats::PiecewiseCurve::fromSamples(
                              c.toQueuingSamples(), bins)
                              .monotoneEnvelope());
-    }
-    stats::PiecewiseCurve composite =
-        stats::PiecewiseCurve::composite(curves, bins).monotoneEnvelope();
-    return model::QueuingModel::fromCurve(std::move(composite),
-                                          max_stable_util);
-}
-
-model::QueuingModel
-measureQueuingModelResilient(const std::vector<LoadedLatencySetup> &setups,
-                             const ResilienceConfig &resilience,
-                             FailureManifest *manifest, std::size_t bins,
-                             double max_stable_util)
-{
-    requireConfig(!setups.empty(), "no sweep setups");
-    std::vector<stats::PiecewiseCurve> curves;
-    for (std::size_t i = 0; i < setups.size(); ++i) {
-        LoadedLatencySetup setup = setups[i];
-        setup.resilience = resilience;
-        if (!resilience.checkpointPath.empty())
-            setup.resilience.checkpointPath =
-                resilience.checkpointPath + ".mlc" + std::to_string(i);
-        inform(strformat("loaded-latency sweep: DDR-%g, %.0f%% reads",
-                         setup.memMtPerSec, setup.readFraction * 100.0));
-        try {
-            ResilientLoadedLatency r = sweepLoadedLatencyResilient(setup);
-            if (manifest)
-                manifest->merge(r.manifest);
-            curves.push_back(stats::PiecewiseCurve::fromSamples(
-                                 r.curve.toQueuingSamples(), bins)
-                                 .monotoneEnvelope());
-        } catch (const ConfigError &e) {
-            // The whole curve failed (fewer than two surviving
-            // points). Quarantine the setup and keep sweeping.
-            warn(strformat("skipping DDR-%g rf=%.2f curve: %s",
-                           setup.memMtPerSec, setup.readFraction,
-                           e.what()));
-            if (manifest) {
-                FailureRecord rec;
-                rec.jobIndex = i;
-                rec.context =
-                    strformat("mlc setup mt=%.6g rf=%.2f",
-                              setup.memMtPerSec, setup.readFraction);
-                rec.errorType = "CurveSkipped";
-                rec.message = e.what();
-                manifest->failures.push_back(std::move(rec));
-            }
-        }
     }
     requireConfig(!curves.empty(),
                   "every loaded-latency curve was quarantined; cannot "

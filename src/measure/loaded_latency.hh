@@ -53,8 +53,9 @@ struct LoadedLatencySetup
      *  path, <= 0 = one per hardware thread. Each point owns its
      *  machine and seed, so results are identical for any value. */
     int jobs = 1;
-    /** Fault tolerance for the resilient entry points; ignored by
-     *  sweepLoadedLatency()/measureQueuingModel(). */
+    /** Fault tolerance for the delay points; with no knob set the
+     *  sweep is strict (the first failing point's exception aborts
+     *  it once every point has settled). */
     ResilienceConfig resilience;
 };
 
@@ -73,58 +74,47 @@ struct LoadedLatencyCurve
     std::vector<stats::CurvePoint> toQueuingSamples() const;
 };
 
-/** Run one sweep. */
-LoadedLatencyCurve sweepLoadedLatency(const LoadedLatencySetup &setup);
+/**
+ * Run one sweep.
+ *
+ * With setup.resilience set, failing delay points are retried, then
+ * dropped from the curve and quarantined into @p manifest (when
+ * non-null); completed points stream to
+ * setup.resilience.checkpointPath (when set) for resume. Throws
+ * ConfigError when fewer than two points survive (no curve).
+ */
+LoadedLatencyCurve sweepLoadedLatency(const LoadedLatencySetup &setup,
+                                      FailureManifest *manifest = nullptr);
+
+/**
+ * Sweep a family of setups in order, one curve each. Setup i journals
+ * to `<checkpointPath>.mlc<i>`, so one --checkpoint path covers the
+ * family. With resilience set, a setup whose curve cannot be built is
+ * skipped and recorded as "CurveSkipped" instead of aborting the
+ * family, so the result can be shorter than @p setups.
+ */
+std::vector<LoadedLatencyCurve>
+sweepLoadedLatencyFamily(const std::vector<LoadedLatencySetup> &setups,
+                         FailureManifest *manifest = nullptr);
 
 /** The paper's four Fig. 7 test cases: {1333, 1867} x {100%R, 2:1}. */
 std::vector<LoadedLatencySetup> paperFig7Setups();
 
 /**
- * Run several sweeps and build the composite queuing model (average
- * of the normalized curves, monotone envelope applied).
+ * Sweep a family of setups (sweepLoadedLatencyFamily) and build the
+ * composite queuing model (average of the normalized curves, monotone
+ * envelope applied).
  *
  * @param setups           sweep configurations
  * @param bins             knots in the composite curve
  * @param max_stable_util  stability cap (paper: ~0.95)
+ * @param manifest         collects quarantined points and skipped
+ *                         curves; may be null
  */
 model::QueuingModel
 measureQueuingModel(const std::vector<LoadedLatencySetup> &setups,
-                    std::size_t bins = 24, double max_stable_util = 0.95);
-
-/** Outcome of a fault-tolerant loaded-latency sweep. */
-struct ResilientLoadedLatency
-{
-    LoadedLatencyCurve curve; ///< surviving (non-quarantined) points
-    FailureManifest manifest; ///< quarantined delay points
-    std::size_t totalJobs = 0;///< delay points attempted
-};
-
-/**
- * Fault-tolerant sweepLoadedLatency(): failing delay points are
- * retried per setup.resilience, then dropped from the curve and
- * quarantined in the manifest; completed points stream to
- * setup.resilience.checkpointPath (when set) for resume. Throws
- * ConfigError only when fewer than two points survive (no curve).
- */
-ResilientLoadedLatency
-sweepLoadedLatencyResilient(const LoadedLatencySetup &setup);
-
-/**
- * Fault-tolerant measureQueuingModel(): each setup sweeps through
- * sweepLoadedLatencyResilient (checkpoint journals get a ".mlc<i>"
- * suffix per setup so one --checkpoint path covers the whole family),
- * curves with fewer than two surviving points are skipped and
- * recorded, and the composite is built from the surviving curves.
- *
- * @param manifest  out-param collecting every quarantined point;
- *                  may be null.
- */
-model::QueuingModel
-measureQueuingModelResilient(const std::vector<LoadedLatencySetup> &setups,
-                             const ResilienceConfig &resilience,
-                             FailureManifest *manifest,
-                             std::size_t bins = 24,
-                             double max_stable_util = 0.95);
+                    std::size_t bins = 24, double max_stable_util = 0.95,
+                    FailureManifest *manifest = nullptr);
 
 } // namespace memsense::measure
 

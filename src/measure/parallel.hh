@@ -5,26 +5,26 @@
  * Every sweep in measure/ is a grid of independent, seed-deterministic
  * simulations: each job constructs its own Machine from its own config
  * and seed, so jobs share no mutable state and any execution order
- * yields the same per-job result. ParallelExecutor::mapOrdered()
- * exploits that: it fans the jobs out over a ThreadPool but writes
+ * yields the same per-job result. ParallelExecutor::mapIndices() is
+ * the one job loop: it fans the jobs out over a ThreadPool, runs each
+ * under the per-job contract of measure/resilience.hh, and writes
  * result i to output slot i, so the collected vector is bit-identical
- * to the serial loop regardless of completion order.
+ * to the serial loop regardless of completion order. mapSettled() and
+ * mapOrdered() are its by-input views; the checkpoint layer
+ * (measure/checkpoint.hh) adds journalling and the sweep policy.
  */
 
 #ifndef MEMSENSE_MEASURE_PARALLEL_HH
 #define MEMSENSE_MEASURE_PARALLEL_HH
 
 #include <cstddef>
-#include <exception>
 #include <future>
-#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "measure/resilience.hh"
 #include "util/thread_pool.hh"
-#include "util/trace.hh"
 
 namespace memsense::measure
 {
@@ -52,8 +52,9 @@ class ParallelExecutor
     int jobs() const { return jobCount; }
 
     /**
-     * Apply @p fn to every element of @p inputs and return the results
-     * in input order.
+     * Apply @p fn to every element of @p inputs and return the values
+     * in input order: the strict policy (one attempt per job) over
+     * mapSettled().
      *
      * fn must be invocable on each element concurrently — in practice,
      * each call builds and owns its own Machine/RNG state. If any call
@@ -66,67 +67,30 @@ class ParallelExecutor
     mapOrdered(const std::vector<Job> &inputs, Fn fn) const
         -> std::vector<std::invoke_result_t<Fn, const Job &>>
     {
-        using Result = std::invoke_result_t<Fn, const Job &>;
-        if (jobCount <= 1 || inputs.size() <= 1) {
-            std::vector<Result> out;
-            out.reserve(inputs.size());
-            for (const auto &job : inputs) {
-                MS_TRACE_SPAN("measure.job");
-                MS_METRIC_COUNT("measure.jobs_run");
-                out.push_back(fn(job));
-            }
-            return out;
-        }
-
-        int workers = jobCount;
-        if (static_cast<std::size_t>(workers) > inputs.size())
-            workers = static_cast<int>(inputs.size());
-        ThreadPool pool(workers);
-        std::vector<std::future<Result>> futures;
-        futures.reserve(inputs.size());
-        for (const auto &job : inputs) {
-            futures.push_back(pool.submit([&fn, &job]() {
-                MS_TRACE_SPAN("measure.job");
-                MS_METRIC_COUNT("measure.jobs_run");
-                return fn(job);
-            }));
-        }
-
-        std::vector<std::optional<Result>> slots(inputs.size());
-        std::exception_ptr first_error;
-        for (std::size_t i = 0; i < futures.size(); ++i) {
-            try {
-                slots[i].emplace(futures[i].get());
-            } catch (...) {
-                if (!first_error)
-                    first_error = std::current_exception();
-            }
-        }
-        if (first_error)
-            std::rethrow_exception(first_error);
-
-        std::vector<Result> out;
-        out.reserve(slots.size());
-        for (auto &slot : slots)
-            out.push_back(std::move(*slot));
+        auto settled =
+            mapSettled(inputs, fn, ResilienceConfig{}.toOptions());
+        rethrowFirstFailure(settled);
+        std::vector<std::invoke_result_t<Fn, const Job &>> out;
+        out.reserve(settled.size());
+        for (auto &r : settled)
+            out.push_back(std::move(*r.value));
         return out;
     }
 
     /**
-     * Fault-tolerant variant of mapOrdered(): apply @p fn to every
-     * input and return one JobResult per input, in input order.
+     * Apply @p fn to every input and return one JobResult per input,
+     * in input order. Never throws on job failure.
      *
      * A job that throws is retried per @p opts (TransientErrors only,
      * seeded backoff keyed by the job index) and, once fatal, timed
-     * out, or out of attempts, quarantined as a FailureRecord instead
-     * of aborting the sweep. The call itself never throws on job
-     * failure; collect the quarantine set with
+     * out, or out of attempts, settles as a FailureRecord carrying
+     * the original exception; collect the records with
      * FailureManifest::collect().
      */
     template <typename Job, typename Fn>
     auto
-    mapOrderedResilient(const std::vector<Job> &inputs, Fn fn,
-                        const ResilienceOptions &opts = {}) const
+    mapSettled(const std::vector<Job> &inputs, Fn fn,
+               const ResilienceOptions &opts) const
         -> std::vector<JobResult<std::invoke_result_t<Fn, const Job &>>>
     {
         std::vector<std::size_t> indices(inputs.size());
@@ -135,35 +99,33 @@ class ParallelExecutor
         auto by_index = [&inputs, &fn](std::size_t i) {
             return fn(inputs[i]);
         };
-        return mapIndicesResilient<decltype(by_index(std::size_t{}))>(
+        return mapIndices<std::invoke_result_t<Fn, const Job &>>(
             indices, by_index, opts, [](std::size_t, const auto &) {});
     }
 
     /**
-     * Resilient engine core: run @p fn(index) for each entry of
-     * @p indices, returning results ordered like @p indices.
+     * The job loop: run @p fn(index) for each entry of @p indices,
+     * returning results ordered like @p indices.
      *
      * The index doubles as the retry-jitter stream, so a checkpoint
      * resume that re-runs a job subset reproduces the uninterrupted
      * run's behaviour exactly. @p on_result fires on the worker thread
-     * as soon as each job settles (value or quarantine) with the
+     * as soon as each job settles (value or failure) with the
      * *original* index — the checkpoint layer streams journal records
      * from it. on_result must be thread-safe for worker counts > 1 and
      * must not throw.
      */
     template <typename Result, typename Fn, typename OnResult>
     std::vector<JobResult<Result>>
-    mapIndicesResilient(const std::vector<std::size_t> &indices, Fn fn,
-                        const ResilienceOptions &opts,
-                        OnResult on_result) const
+    mapIndices(const std::vector<std::size_t> &indices, Fn fn,
+               const ResilienceOptions &opts, OnResult on_result) const
     {
         opts.retry.validate();
         if (jobCount <= 1 || indices.size() <= 1) {
             std::vector<JobResult<Result>> out;
             out.reserve(indices.size());
             for (std::size_t index : indices) {
-                out.push_back(
-                    detail::runResilientJob<Result>(fn, index, opts));
+                out.push_back(detail::runJob<Result>(fn, index, opts));
                 on_result(index, out.back());
             }
             return out;
@@ -179,7 +141,7 @@ class ParallelExecutor
             futures.push_back(pool.submit([&fn, &opts, &on_result,
                                            index]() {
                 JobResult<Result> r =
-                    detail::runResilientJob<Result>(fn, index, opts);
+                    detail::runJob<Result>(fn, index, opts);
                 on_result(index, r);
                 return r;
             }));

@@ -94,7 +94,6 @@ ResilienceConfig::toOptions() const
 {
     ResilienceOptions opts;
     opts.retry.maxAttempts = maxRetries + 1;
-    opts.retry.seed = retrySeed;
     opts.jobTimeoutMs = jobTimeoutMs;
     return opts;
 }

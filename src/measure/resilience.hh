@@ -1,20 +1,25 @@
 /**
  * @file
- * Per-job fault tolerance for the parallel experiment engine.
+ * Per-job fault tolerance for the sweep engine.
  *
- * mapOrdered() (measure/parallel.hh) aborts a whole sweep on the first
- * failing job — correct for tests, wasteful for the paper's production
- * grids, where one non-converging fixed point should not discard hours
- * of completed simulations. The resilient path wraps every job in the
- * retry taxonomy of util/retry.hh and returns a JobResult per input:
- * either the value, or a FailureRecord describing why the job was
- * quarantined (error type, message, attempts, deadline state). A sweep
- * therefore always completes, and the quarantined failures travel in a
- * machine-readable FailureManifest next to the results.
+ * Every job of a sweep runs under the retry taxonomy of util/retry.hh
+ * and settles as a JobResult: either the value, or a FailureRecord
+ * describing why it failed (error type, message, attempts, deadline
+ * state) together with the original exception. What happens next is
+ * the sweep's policy, set by ResilienceConfig:
  *
- * Determinism: job values are computed exactly as in mapOrdered(), and
- * retry backoff is seeded per job index, so for a given fault pattern
- * the outcome vector is independent of worker count and scheduling.
+ *  - strict (no knob set, the default): every job runs once, and
+ *    after all jobs settle the lowest-index failure's original
+ *    exception is rethrown, so one bad point aborts the sweep;
+ *  - fault-tolerant (any knob set): failing jobs are retried, then
+ *    quarantined, and the sweep completes with the failures in a
+ *    machine-readable FailureManifest next to the results, so one
+ *    non-converging point does not discard hours of completed
+ *    simulations.
+ *
+ * Determinism: job values do not depend on the policy, and retry
+ * backoff is seeded per job index, so for a given fault pattern the
+ * outcome vector is independent of worker count and scheduling.
  */
 
 #ifndef MEMSENSE_MEASURE_RESILIENCE_HH
@@ -33,7 +38,7 @@
 namespace memsense::measure
 {
 
-/** Why one job was quarantined instead of returning a value. */
+/** Why one job failed instead of returning a value. */
 struct FailureRecord
 {
     std::size_t jobIndex = 0; ///< input-order index of the job
@@ -46,12 +51,15 @@ struct FailureRecord
     double elapsedMs = 0.0;   ///< wall clock spent on the job
 };
 
-/** Outcome of one resilient job: a value or a quarantined failure. */
+/** Outcome of one job: a value or a failure. */
 template <typename T>
 struct JobResult
 {
     std::optional<T> value;
     std::optional<FailureRecord> failure;
+    /** The failed job's original exception (the strict policy
+     *  rethrows it); null for a value. */
+    std::exception_ptr error;
     /** Attempts used (0 when the value was restored from a journal). */
     int attempts = 0;
 
@@ -92,7 +100,22 @@ struct FailureManifest
 };
 
 /**
- * Engine knobs for one resilient sweep.
+ * The strict policy: rethrow the original exception of the
+ * lowest-index failed job, if any. Called once every job has settled,
+ * so no worker is ever abandoned mid-simulation.
+ */
+template <typename T>
+void
+rethrowFirstFailure(const std::vector<JobResult<T>> &results)
+{
+    for (const auto &r : results) {
+        if (r.error)
+            std::rethrow_exception(r.error);
+    }
+}
+
+/**
+ * Engine knobs for one sweep.
  *
  * The deadline is cooperative: a job is never killed mid-simulation
  * (that would tear simulator state); instead the elapsed wall clock is
@@ -120,10 +143,9 @@ struct ResilienceConfig
     double jobTimeoutMs = 0.0;
     /** Append-only journal path; empty disables checkpointing. */
     std::string checkpointPath;
-    /** Seed for the backoff jitter streams. */
-    std::uint64_t retrySeed = 0;
 
-    /** True when any knob deviates from the strict default path. */
+    /** True when any knob is set: the sweep quarantines failures
+     *  instead of rethrowing the first one (the strict policy). */
     bool enabled() const
     {
         return maxRetries > 0 || jobTimeoutMs > 0.0 ||
@@ -141,18 +163,20 @@ namespace detail
 double steadyNowMs();
 
 /**
- * Run one job under the resilience contract. Never throws: every
- * exception ends up classified in the returned JobResult. @p stream
- * is the retry-jitter stream, conventionally the job's input index.
+ * Run one job, with its retries, under one `measure.job` span. Never
+ * throws: every exception ends up classified in the returned
+ * JobResult. @p stream is the retry-jitter stream, conventionally the
+ * job's input index.
  */
 template <typename T, typename Fn>
 JobResult<T>
-runResilientJob(Fn &fn, std::size_t stream, const ResilienceOptions &opts)
+runJob(Fn &fn, std::size_t stream, const ResilienceOptions &opts)
 {
     auto now_ms = [&opts]() {
         return opts.nowMs ? opts.nowMs() : steadyNowMs();
     };
     JobResult<T> out;
+    MS_TRACE_SPAN("measure.job");
     MS_METRIC_COUNT("measure.jobs_run");
     const double start_ms = now_ms();
     std::exception_ptr last_error;
@@ -163,7 +187,6 @@ runResilientJob(Fn &fn, std::size_t stream, const ResilienceOptions &opts)
         if (out.attempts > 1)
             MS_METRIC_COUNT("measure.job_retries");
         try {
-            MS_TRACE_SPAN("measure.job_attempt");
             out.value.emplace(fn(stream));
             return out;
         } catch (...) {
@@ -200,6 +223,7 @@ runResilientJob(Fn &fn, std::size_t stream, const ResilienceOptions &opts)
     rec.fatal = fatal;
     rec.elapsedMs = now_ms() - start_ms;
     out.failure = std::move(rec);
+    out.error = std::move(last_error);
     return out;
 }
 

@@ -3,7 +3,6 @@
 #include <optional>
 
 #include "measure/checkpoint.hh"
-#include "measure/parallel.hh"
 #include "stats/summary.hh"
 #include "util/error.hh"
 #include "util/fault_injection.hh"
@@ -153,46 +152,29 @@ captureTimeSeries(const TimeSeriesConfig &cfg)
 
 std::vector<TimeSeries>
 captureTimeSeriesBatch(const std::vector<TimeSeriesConfig> &cfgs,
-                       int jobs)
+                       int jobs, const ResilienceConfig &resilience,
+                       FailureManifest *manifest)
 {
-    ParallelExecutor exec(jobs);
-    return exec.mapOrdered(cfgs, [](const TimeSeriesConfig &cfg) {
-        LogScope scope(cfg.run.workloadId);
-        return captureTimeSeries(cfg);
-    });
-}
+    std::vector<JobResult<TimeSeries>> settled = runSweep(
+        cfgs,
+        [](const TimeSeriesConfig &cfg) {
+            LogScope scope(cfg.run.workloadId);
+            return captureTimeSeries(cfg);
+        },
+        jobs, resilience, timeSeriesRunKey(cfgs), timeSeriesCodec(),
+        manifest,
+        [](const TimeSeriesConfig &cfg) {
+            return strformat("%s ghz=%.4g mt=%.6g",
+                             cfg.run.workloadId.c_str(), cfg.run.ghz,
+                             cfg.run.memMtPerSec);
+        });
 
-ResilientTimeSeriesBatch
-captureTimeSeriesBatchResilient(const std::vector<TimeSeriesConfig> &cfgs,
-                                int jobs,
-                                const ResilienceConfig &resilience)
-{
-    ParallelExecutor exec(jobs);
-    std::vector<JobResult<TimeSeries>> settled =
-        mapOrderedResilientCheckpointed(
-            exec, cfgs,
-            [](const TimeSeriesConfig &cfg) {
-                LogScope scope(cfg.run.workloadId);
-                return captureTimeSeries(cfg);
-            },
-            resilience.toOptions(), resilience.checkpointPath,
-            timeSeriesRunKey(cfgs), timeSeriesCodec());
-
-    ResilientTimeSeriesBatch out;
-    out.totalJobs = settled.size();
-    for (std::size_t i = 0; i < settled.size(); ++i) {
-        if (settled[i].ok()) {
-            out.results.push_back(std::move(*settled[i].value));
-            continue;
-        }
-        FailureRecord rec = *settled[i].failure;
-        rec.context = strformat("%s ghz=%.4g mt=%.6g",
-                                cfgs[i].run.workloadId.c_str(),
-                                cfgs[i].run.ghz, cfgs[i].run.memMtPerSec);
-        out.manifest.failures.push_back(std::move(rec));
+    std::vector<TimeSeries> out;
+    out.reserve(settled.size());
+    for (auto &r : settled) {
+        if (r.ok())
+            out.push_back(std::move(*r.value));
     }
-    if (!out.manifest.empty())
-        warn(out.manifest.summary(out.totalJobs));
     return out;
 }
 

@@ -70,32 +70,21 @@ TimeSeries captureTimeSeries(const TimeSeriesConfig &cfg);
  * ordered). Results come back in input order, identical to running
  * captureTimeSeries() in a loop.
  *
- * @param cfgs one entry per series
- * @param jobs worker threads; 1 = serial, <= 0 = hardware threads
+ * With @p resilience set, captures that fail are retried and then
+ * quarantined into @p manifest (when non-null) instead of aborting
+ * the batch, and completed series stream to resilience.checkpointPath
+ * (when set) for resume; the surviving series keep input order.
+ *
+ * @param cfgs       one entry per series
+ * @param jobs       worker threads; 1 = serial, <= 0 = hardware threads
+ * @param resilience fault tolerance; the default is strict
+ * @param manifest   collects quarantined captures; may be null
  */
 std::vector<TimeSeries>
 captureTimeSeriesBatch(const std::vector<TimeSeriesConfig> &cfgs,
-                       int jobs = 1);
-
-/** Outcome of a fault-tolerant time-series batch. */
-struct ResilientTimeSeriesBatch
-{
-    /** Series that completed (possibly after retries), input order. */
-    std::vector<TimeSeries> results;
-    FailureManifest manifest; ///< quarantined captures
-    std::size_t totalJobs = 0;///< captures attempted
-};
-
-/**
- * Fault-tolerant captureTimeSeriesBatch(): captures that fail are
- * retried per @p resilience and then quarantined instead of aborting
- * the batch; completed series stream to resilience.checkpointPath
- * (when set) for resume. Surviving series keep input order.
- */
-ResilientTimeSeriesBatch
-captureTimeSeriesBatchResilient(const std::vector<TimeSeriesConfig> &cfgs,
-                                int jobs,
-                                const ResilienceConfig &resilience);
+                       int jobs = 1,
+                       const ResilienceConfig &resilience = {},
+                       FailureManifest *manifest = nullptr);
 
 } // namespace memsense::measure
 

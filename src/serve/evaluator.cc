@@ -100,7 +100,7 @@ Evaluator::evaluateBatch(const std::vector<EvalRequest> &requests,
     std::vector<EvalOutcome> outcomes(requests.size());
     util::ArenaVector<std::size_t> uniqueOf(requests.size(), kNotUnique,
                                             scratch);
-    // Plain vector: handed to ParallelExecutor::mapOrderedResilient,
+    // Plain vector: handed to ParallelExecutor::mapSettled,
     // whose signature takes std::vector<Job>.
     std::vector<std::size_t> uniqueRequestIndex;
     // Points into uniqueByKey, whose nodes never move.
@@ -142,7 +142,7 @@ Evaluator::evaluateBatch(const std::vector<EvalRequest> &requests,
     // Pass 2 (parallel): solve each unique miss once. Failures are
     // quarantined per job, never thrown.
     measure::ParallelExecutor executor(options.jobs);
-    auto solved = executor.mapOrderedResilient(
+    auto solved = executor.mapSettled(
         uniqueRequestIndex,
         [this, &requests, &cancels](std::size_t request_index) {
             const EvalRequest &req = requests[request_index];

@@ -14,7 +14,7 @@
  *  - evaluateBatch(): many requests at once. Requests are keyed,
  *    probed and deduplicated serially in input order, the
  *    unique misses fan out over the parallel experiment engine
- *    (measure::ParallelExecutor::mapOrderedResilient), and results
+ *    (measure::ParallelExecutor::mapSettled), and results
  *    are assembled back in input order with per-request error capture
  *    — one bad request quarantines as a FailureRecord, the rest of
  *    the batch completes.

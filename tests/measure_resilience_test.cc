@@ -5,7 +5,8 @@
  * per-job deadlines on a virtual clock, checkpoint/resume bit-identity
  * at several worker counts, torn-journal tolerance, and no-abort
  * behaviour under injected faults — including the full
- * characterization sweep.
+ * characterization sweep — and the sweep policy and checkpoint resume
+ * of each real sweep entry point.
  */
 
 #include <gtest/gtest.h>
@@ -14,16 +15,21 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "measure/checkpoint.hh"
 #include "measure/freq_scaling.hh"
+#include "measure/loaded_latency.hh"
 #include "measure/parallel.hh"
 #include "measure/resilience.hh"
+#include "measure/timeseries.hh"
 #include "util/error.hh"
 #include "util/fault_injection.hh"
 #include "util/log.hh"
+#include "util/trace.hh"
 
 namespace memsense::measure
 {
@@ -70,6 +76,122 @@ tempJournal(const std::string &name)
     return path;
 }
 
+/**
+ * One sweep entry point on a tiny four-job grid whose every job hits
+ * @c site once per attempt. run() returns the sweep's values flattened
+ * for a bitwise comparison.
+ */
+struct SweepCase
+{
+    std::string name;
+    std::string site;
+    std::function<std::vector<double>(int jobs, const ResilienceConfig &,
+                                      FailureManifest *)>
+        run;
+};
+
+std::vector<double>
+flatten(const std::vector<Characterization> &chars)
+{
+    std::vector<double> out;
+    for (const auto &c : chars) {
+        for (const auto &o : c.observations)
+            out.insert(out.end(), {o.coreGhz, o.memMtPerSec, o.cpiEff,
+                                   o.mpi, o.mpCycles, o.mpki, o.wbr,
+                                   o.instructions});
+        out.insert(out.end(), {c.model.params.cpiCache, c.model.params.bf,
+                               c.model.fit.r2});
+    }
+    return out;
+}
+
+std::vector<double>
+flatten(const LoadedLatencyCurve &curve)
+{
+    std::vector<double> out = {curve.unloadedNs, curve.maxBandwidthGBps};
+    for (const auto &pt : curve.points)
+        out.insert(out.end(), {static_cast<double>(pt.delayCycles),
+                               pt.bandwidthGBps, pt.latencyNs});
+    return out;
+}
+
+std::vector<double>
+flatten(const std::vector<TimeSeries> &series)
+{
+    std::vector<double> out;
+    for (const auto &ts : series) {
+        for (const auto &x : ts.samples)
+            out.insert(out.end(), {x.timeMs, x.cpuUtilization, x.cpi,
+                                   x.bandwidthGBps, x.ioGBps, x.mpki,
+                                   x.missPenaltyNs});
+    }
+    return out;
+}
+
+LoadedLatencySetup
+tinyLoadedLatency(int jobs, const ResilienceConfig &rc)
+{
+    LoadedLatencySetup setup;
+    setup.cores = 2;
+    setup.delayCycles = {0, 64, 256, 1024};
+    setup.warmup = nsToPicos(20'000.0);
+    setup.measure = nsToPicos(40'000.0);
+    setup.jobs = jobs;
+    setup.resilience = rc;
+    return setup;
+}
+
+/** characterizeMany, sweepLoadedLatency, measureQueuingModel and
+ *  captureTimeSeriesBatch, each on four jobs. */
+std::vector<SweepCase>
+sweepCases()
+{
+    auto characterization = [](int jobs, const ResilienceConfig &rc,
+                               FailureManifest *manifest) {
+        FreqScalingConfig cfg;
+        cfg.coreGhz = {2.1, 3.1};
+        cfg.memMtPerSec = {1333.3, 1866.7};
+        cfg.warmup = nsToPicos(100'000.0);
+        cfg.measure = nsToPicos(100'000.0);
+        cfg.adaptiveWarmup = false;
+        cfg.coresOverride = 1;
+        cfg.jobs = jobs;
+        cfg.resilience = rc;
+        return flatten(characterizeMany({"column_store"}, cfg, manifest));
+    };
+    auto loaded_latency = [](int jobs, const ResilienceConfig &rc,
+                             FailureManifest *manifest) {
+        return flatten(
+            sweepLoadedLatency(tinyLoadedLatency(jobs, rc), manifest));
+    };
+    auto queuing_model = [](int jobs, const ResilienceConfig &rc,
+                            FailureManifest *manifest) {
+        model::QueuingModel q = measureQueuingModel(
+            {tinyLoadedLatency(jobs, rc)}, 8, 0.95, manifest);
+        return std::vector<double>{q.delayNs(0.5)};
+    };
+    auto time_series = [](int jobs, const ResilienceConfig &rc,
+                          FailureManifest *manifest) {
+        std::vector<TimeSeriesConfig> cfgs(4);
+        for (std::size_t i = 0; i < cfgs.size(); ++i) {
+            cfgs[i].run.workloadId = "spark";
+            cfgs[i].run.cores = 1;
+            cfgs[i].run.seed = i + 1;
+            cfgs[i].run.warmup = nsToPicos(50'000.0);
+            cfgs[i].run.adaptiveWarmup = false;
+            cfgs[i].interval = nsToPicos(20'000.0);
+            cfgs[i].samples = 3;
+        }
+        return flatten(captureTimeSeriesBatch(cfgs, jobs, rc, manifest));
+    };
+    return {
+        {"characterizeMany", "runner.observe", characterization},
+        {"sweepLoadedLatency", "loaded_latency.point", loaded_latency},
+        {"measureQueuingModel", "loaded_latency.point", queuing_model},
+        {"captureTimeSeriesBatch", "timeseries.capture", time_series},
+    };
+}
+
 class MeasureResilienceTest : public ::testing::Test
 {
   protected:
@@ -91,7 +213,7 @@ TEST_F(MeasureResilienceTest, CleanSweepMatchesMapOrdered)
     auto fn = [](const int &x) { return jobValue(static_cast<std::size_t>(x)); };
     ParallelExecutor exec(4);
     auto plain = exec.mapOrdered(inputs, fn);
-    auto resilient = exec.mapOrderedResilient(inputs, fn, fastOptions(3));
+    auto resilient = exec.mapSettled(inputs, fn, fastOptions(3));
     ASSERT_EQ(resilient.size(), plain.size());
     for (std::size_t i = 0; i < plain.size(); ++i) {
         ASSERT_TRUE(resilient[i].ok()) << "job " << i;
@@ -119,7 +241,7 @@ TEST_F(MeasureResilienceTest, TransientFailuresRetryToSuccess)
         for (auto &c : calls)
             c.store(0);
         ParallelExecutor exec(jobs);
-        auto results = exec.mapOrderedResilient(inputs, fn, fastOptions(3));
+        auto results = exec.mapSettled(inputs, fn, fastOptions(3));
         for (std::size_t i = 0; i < n; ++i) {
             ASSERT_TRUE(results[i].ok()) << "jobs=" << jobs << " job " << i;
             EXPECT_EQ(*results[i].value, jobValue(i));
@@ -137,7 +259,7 @@ TEST_F(MeasureResilienceTest, ExhaustedRetriesQuarantine)
         return jobValue(i);
     };
     ParallelExecutor exec(1);
-    auto results = exec.mapOrderedResilient(inputs, fn, fastOptions(3));
+    auto results = exec.mapSettled(inputs, fn, fastOptions(3));
     ASSERT_EQ(results.size(), 3u);
     EXPECT_TRUE(results[0].ok());
     EXPECT_TRUE(results[2].ok());
@@ -172,7 +294,7 @@ TEST_F(MeasureResilienceTest, FatalErrorsAreNeverRetried)
         return jobValue(i);
     };
     ParallelExecutor exec(1);
-    auto results = exec.mapOrderedResilient(inputs, fn, fastOptions(5));
+    auto results = exec.mapSettled(inputs, fn, fastOptions(5));
     ASSERT_FALSE(results[0].ok());
     EXPECT_EQ(calls.load(), 1) << "fatal errors must not be retried";
     EXPECT_TRUE(results[0].failure->fatal);
@@ -200,7 +322,7 @@ TEST_F(MeasureResilienceTest, DeadlineCutsRetriesOnVirtualClock)
         throw TransientError("slow and failing");
     };
     ParallelExecutor exec(1);
-    auto results = exec.mapOrderedResilient(inputs, fn, opts);
+    auto results = exec.mapSettled(inputs, fn, opts);
     ASSERT_FALSE(results[0].ok());
     const FailureRecord &rec = *results[0].failure;
     EXPECT_TRUE(rec.timedOut);
@@ -227,7 +349,7 @@ TEST_F(MeasureResilienceTest, TimeoutNeverDiscardsASuccess)
         return jobValue(i);
     };
     ParallelExecutor exec(1);
-    auto results = exec.mapOrderedResilient(inputs, fn, opts);
+    auto results = exec.mapSettled(inputs, fn, opts);
     ASSERT_TRUE(results[0].ok());
     EXPECT_EQ(*results[0].value, jobValue(4));
 }
@@ -250,7 +372,7 @@ TEST_F(MeasureResilienceTest, CheckpointResumeIsBitIdentical)
         // Reference: uninterrupted, no failures, no checkpoint.
         failing = false;
         auto reference =
-            exec.mapOrderedResilient(inputs, fn, fastOptions(2));
+            exec.mapSettled(inputs, fn, fastOptions(2));
 
         const std::string path =
             tempJournal("ckpt_jobs" + std::to_string(jobs) + ".journal");
@@ -258,7 +380,7 @@ TEST_F(MeasureResilienceTest, CheckpointResumeIsBitIdentical)
         // Pass 1: a third of the jobs fail out of their retry budget
         // and are quarantined; the successes land in the journal.
         failing = true;
-        auto pass1 = mapOrderedResilientCheckpointed(
+        auto pass1 = mapSettledCheckpointed(
             exec, inputs, fn, fastOptions(2), path, "ckpt-test-v1",
             doubleCodec());
         std::size_t quarantined = 0;
@@ -269,7 +391,7 @@ TEST_F(MeasureResilienceTest, CheckpointResumeIsBitIdentical)
         // Pass 2 ("resume after the outage"): only the failed jobs
         // re-run; restored jobs report attempts == 0.
         failing = false;
-        auto pass2 = mapOrderedResilientCheckpointed(
+        auto pass2 = mapSettledCheckpointed(
             exec, inputs, fn, fastOptions(2), path, "ckpt-test-v1",
             doubleCodec());
         ASSERT_EQ(pass2.size(), reference.size());
@@ -286,7 +408,7 @@ TEST_F(MeasureResilienceTest, CheckpointResumeIsBitIdentical)
         }
 
         // Pass 3: everything restores; nothing re-runs.
-        auto pass3 = mapOrderedResilientCheckpointed(
+        auto pass3 = mapSettledCheckpointed(
             exec, inputs, fn, fastOptions(2), path, "ckpt-test-v1",
             doubleCodec());
         for (std::size_t i = 0; i < n; ++i) {
@@ -368,7 +490,7 @@ TEST_F(MeasureResilienceTest, InjectedFaultsNeverAbortTheSweep)
         fault::configure("seed=11;resilience.random:throw:p=0.4");
         ParallelExecutor exec(jobs);
         std::vector<JobResult<double>> results;
-        ASSERT_NO_THROW(results = exec.mapOrderedResilient(
+        ASSERT_NO_THROW(results = exec.mapSettled(
                             inputs, fn, fastOptions(4)))
             << "jobs=" << jobs;
         ASSERT_EQ(results.size(), n);
@@ -414,24 +536,96 @@ TEST_F(MeasureResilienceTest, CharacterizationSurvivesInjectedFaults)
     // and the retried re-runs must be bit-identical to the clean run.
     fault::configure("runner.observe:throw:nth=3");
     cfg.resilience.maxRetries = 2;
-    ResilientCharacterizations r = characterizeManyResilient(ids, cfg);
+    FailureManifest manifest;
+    std::vector<Characterization> r = characterizeMany(ids, cfg, &manifest);
     fault::reset();
 
-    EXPECT_TRUE(r.manifest.empty())
+    EXPECT_TRUE(manifest.empty())
         << "nth=3 faults with 2 retries must all recover: "
-        << r.manifest.summary(r.totalJobs);
-    ASSERT_EQ(r.results.size(), clean.size());
-    ASSERT_EQ(r.results[0].observations.size(),
-              clean[0].observations.size());
+        << manifest.summary(clean[0].observations.size());
+    ASSERT_EQ(r.size(), clean.size());
+    ASSERT_EQ(r[0].observations.size(), clean[0].observations.size());
     for (std::size_t i = 0; i < clean[0].observations.size(); ++i) {
-        EXPECT_EQ(r.results[0].observations[i].cpiEff,
+        EXPECT_EQ(r[0].observations[i].cpiEff,
                   clean[0].observations[i].cpiEff)
             << "observation " << i;
-        EXPECT_EQ(r.results[0].observations[i].mpCycles,
+        EXPECT_EQ(r[0].observations[i].mpCycles,
                   clean[0].observations[i].mpCycles);
     }
-    EXPECT_EQ(r.results[0].model.params.cpiCache,
-              clean[0].model.params.cpiCache);
+    EXPECT_EQ(r[0].model.params.cpiCache, clean[0].model.params.cpiCache);
+}
+
+TEST_F(MeasureResilienceTest, StrictSweepsRethrowTheFirstFaultOnceAllSettle)
+{
+    // after=2: the first two hits pass and every later hit throws, so
+    // two of the four jobs fail whatever the scheduling.
+    for (const SweepCase &c : sweepCases()) {
+        for (int jobs : {1, 8}) {
+            SCOPED_TRACE(c.name + " jobs=" + std::to_string(jobs));
+            const std::string spec = c.site + ":throw:after=2";
+
+            // No resilience knob: the strict policy rethrows the
+            // original exception, and only after every job ran.
+            fault::configure(spec);
+            EXPECT_THROW(c.run(jobs, ResilienceConfig{}, nullptr),
+                         fault::FaultInjected);
+            EXPECT_EQ(fault::hitCount(c.site), 4u);
+
+            // One retry: the same faults land in the manifest instead.
+            fault::configure(spec);
+            ResilienceConfig rc;
+            rc.maxRetries = 1;
+            FailureManifest manifest;
+            EXPECT_NO_THROW(c.run(jobs, rc, &manifest));
+            ASSERT_EQ(manifest.failures.size(), 2u);
+            for (const FailureRecord &f : manifest.failures) {
+                EXPECT_EQ(f.errorType, "FaultInjected");
+                EXPECT_EQ(f.attempts, 2);
+                EXPECT_FALSE(f.context.empty());
+            }
+        }
+    }
+}
+
+TEST_F(MeasureResilienceTest, SweepCheckpointResumeMatchesACleanRun)
+{
+    // Every sweep's own journal codec: the first run quarantines one
+    // job (nth=3 fires on the third of four hits, with no retry), the
+    // resumed run re-runs only that job and restores the rest.
+    std::vector<SweepCase> cases = sweepCases();
+    cases.erase(cases.begin() + 2); // measureQueuingModel: same codec
+    for (const SweepCase &c : cases) {
+        for (int jobs : {1, 8}) {
+            SCOPED_TRACE(c.name + " jobs=" + std::to_string(jobs));
+            const std::vector<double> clean =
+                c.run(jobs, ResilienceConfig{}, nullptr);
+
+            ResilienceConfig rc;
+            rc.checkpointPath = tempJournal("sweep_" + c.name + "_jobs" +
+                                            std::to_string(jobs) +
+                                            ".journal");
+            fault::configure(c.site + ":throw:nth=3");
+            FailureManifest first;
+            c.run(jobs, rc, &first);
+            EXPECT_EQ(first.failures.size(), 1u);
+            fault::reset();
+
+            trace::resetForTest();
+            trace::setStatsEnabled(true);
+            FailureManifest second;
+            const std::vector<double> resumed = c.run(jobs, rc, &second);
+            std::map<std::string, std::uint64_t> counters =
+                trace::counterTotals();
+            trace::setStatsEnabled(false);
+            trace::resetForTest();
+
+            EXPECT_TRUE(second.empty());
+            EXPECT_EQ(counters["measure.jobs_run"], 1u);
+            EXPECT_EQ(counters["checkpoint.jobs_restored"], 3u);
+            EXPECT_EQ(resumed, clean);
+            std::remove(rc.checkpointPath.c_str());
+        }
+    }
 }
 
 } // anonymous namespace

@@ -190,7 +190,7 @@ TEST_F(ObservabilityTest, CountersByteIdenticalAcrossJobCounts)
         measure::ResilienceOptions opts;
         opts.retry.maxAttempts = 3;
         opts.sleepMs = [](double) {}; // no real backoff sleeps
-        auto results = exec.mapOrderedResilient(
+        auto results = exec.mapSettled(
             inputs,
             [](const int &x) -> double {
                 if (x % 5 == 0)

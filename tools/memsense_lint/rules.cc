@@ -88,14 +88,6 @@ loopBodies(const std::vector<Token> &toks,
     return bodies;
 }
 
-/** Token ranges (begin, end) of every for-loop body in the file. */
-std::vector<std::pair<std::size_t, std::size_t>>
-forLoopBodies(const std::vector<Token> &toks)
-{
-    static const std::set<std::string> kw = {"for"};
-    return loopBodies(toks, kw);
-}
-
 bool
 insideAny(const std::vector<std::pair<std::size_t, std::size_t>> &bodies,
           std::size_t i)
@@ -368,135 +360,6 @@ checkMutableGlobal(const FileContext &ctx, std::vector<Finding> &out)
              "mutable state to stay seed-deterministic — make it "
              "const/constexpr, pass it explicitly, or move it behind "
              "util/log-style synchronized ownership"});
-    }
-}
-
-// ---------------------------------------------------------------------
-// serial-grid-loop
-// ---------------------------------------------------------------------
-
-void
-checkSerialGridLoop(const FileContext &ctx, std::vector<Finding> &out)
-{
-    if (!ctx.inBench)
-        return;
-    // Runner-level entry points that a bench grid loop must not call
-    // directly; route the grid through ParallelExecutor::mapOrdered or
-    // the measure:: experiment drivers instead.
-    static const std::set<std::string> runner_calls = {
-        "runObservation", "WorkloadRun",
-    };
-    const auto &toks = ctx.toks;
-    auto bodies = forLoopBodies(toks);
-
-    std::set<int> flagged_lines;
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-        const Token &t = toks[i];
-        if (t.kind != TokKind::Ident || !contains(runner_calls, t.text))
-            continue;
-        if (!insideAny(bodies, i) || !flagged_lines.insert(t.line).second)
-            continue;
-        out.push_back(
-            {ctx.path, t.line, "serial-grid-loop",
-             "'" + t.text +
-                 "' called from a hand-rolled grid loop runs the "
-                 "sweep serially and ignores --jobs; build the grid "
-                 "as a job vector and run it through "
-                 "measure::ParallelExecutor::mapOrdered (or a "
-                 "measure:: experiment driver)"});
-    }
-}
-
-// ---------------------------------------------------------------------
-// no-untraced-sweep-loop
-// ---------------------------------------------------------------------
-
-void
-checkUntracedSweepLoop(const FileContext &ctx, std::vector<Finding> &out)
-{
-    if (!ctx.inBench)
-        return;
-    // Sweep-engine entry points a bench driver can hand a grid to.
-    // Each runs many jobs, so an untimed call leaves the dominant
-    // phase of the run invisible to the metrics artifact.
-    static const std::set<std::string> sweep_calls = {
-        "mapOrdered",
-        "mapOrderedResilient",
-        "mapIndicesResilient",
-        "mapOrderedResilientCheckpointed",
-        "characterizeMany",
-        "characterizeManyResilient",
-        "characterizeAll",
-        "sweepLoadedLatency",
-        "sweepLoadedLatencyResilient",
-        "captureTimeSeriesBatch",
-        "captureTimeSeriesBatchResilient",
-    };
-    const auto &toks = ctx.toks;
-    bool observed = false;
-    for (const Token &t : toks) {
-        if (t.kind == TokKind::Ident &&
-            (t.text == "MS_TRACE_SPAN" || t.text == "PhaseTimer")) {
-            observed = true;
-            break;
-        }
-    }
-    if (observed)
-        return;
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-        const Token &t = toks[i];
-        if (t.kind != TokKind::Ident || !contains(sweep_calls, t.text) ||
-            !isPunct(at(toks, i + 1), "("))
-            continue;
-        out.push_back(
-            {ctx.path, t.line, "no-untraced-sweep-loop",
-             "'" + t.text +
-                 "' runs a sweep but the file declares no "
-                 "observability scope; wrap the sweep in a "
-                 "measure::PhaseTimer (or MS_TRACE_SPAN) so --metrics "
-                 "runs report where the wall-clock went"});
-        return; // advisory: once per file is enough
-    }
-}
-
-// ---------------------------------------------------------------------
-// no-uncached-batch-solve
-// ---------------------------------------------------------------------
-
-void
-checkUncachedBatchSolve(const FileContext &ctx, std::vector<Finding> &out)
-{
-    if (!ctx.inBench)
-        return;
-    const auto &toks = ctx.toks;
-    // A file that mentions the memoizing evaluator has already routed
-    // (some of) its solves through the cache; stay quiet rather than
-    // guess which call sites remain cold.
-    for (const Token &t : toks) {
-        if (isIdent(t, "Evaluator"))
-            return;
-    }
-    auto bodies = forLoopBodies(toks);
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-        const Token &t = toks[i];
-        if (!isIdent(t, "solve") || !isPunct(at(toks, i + 1), "("))
-            continue;
-        const Token &prev = at(toks, i - 1);
-        // Only member calls (solver.solve / engine->solve): a local
-        // helper named solve() is not the analytic fixed point.
-        if (!isPunct(prev, ".") && !isPunct(prev, "->"))
-            continue;
-        if (!insideAny(bodies, i))
-            continue;
-        out.push_back(
-            {ctx.path, t.line, "no-uncached-batch-solve",
-             "'.solve()' inside a hand-rolled grid loop re-derives "
-             "every operating point from scratch; route the batch "
-             "through serve::Evaluator so revisited points are served "
-             "from the memoizing cache, or annotate with "
-             "allow(no-uncached-batch-solve) and the reason the grid "
-             "never repeats a point"});
-        return; // advisory: once per file is enough
     }
 }
 
@@ -1123,7 +986,6 @@ makeContext(const std::string &path, const LexResult &lexed,
 
     std::string p = path;
     std::replace(p.begin(), p.end(), '\\', '/');
-    ctx.inBench = p.find("bench/") != std::string::npos;
     // The two per-access hot paths of the repo: the simulator core the
     // sweeps hammer and the serving layer's request path.
     ctx.inHotPath = p.find("src/sim/") != std::string::npos ||
@@ -1180,16 +1042,6 @@ allRules()
         {"mutable-global-state",
          "mutable globals / static locals outside util/log",
          checkMutableGlobal},
-        {"serial-grid-loop",
-         "bench/ grid loops that bypass measure::ParallelExecutor",
-         checkSerialGridLoop},
-        {"no-untraced-sweep-loop",
-         "bench/ sweeps with no PhaseTimer/MS_TRACE_SPAN scope",
-         checkUntracedSweepLoop},
-        {"no-uncached-batch-solve",
-         "bench/ solve() grid loops that bypass the serve::Evaluator "
-         "cache",
-         checkUncachedBatchSolve},
         {"no-hot-loop-alloc",
          "per-iteration heap allocation in src/sim and src/serve loops",
          checkHotLoopAlloc},

@@ -54,7 +54,6 @@ struct FileContext
     std::set<std::string> floatIdents;   ///< idents declared double/float
     Symbols syms;                        ///< per-file symbol table
     const SymbolIndex *index = nullptr;  ///< cross-file index (may be null)
-    bool inBench = false;   ///< file lives under bench/
     bool inHotPath = false; ///< src/sim/ or src/serve/ (perf-critical)
     bool inModelOrSim = false; ///< src/model/ or src/sim/ (contract scope)
     bool rngExempt = false; ///< util/rng.* (sanctioned randomness)

@@ -93,48 +93,6 @@ TEST(LintSelftest, MutableGlobalStateFires)
            "must not fire";
 }
 
-TEST(LintSelftest, SerialGridLoopFiresInBench)
-{
-    auto fs = runRule("bench/serial_grid_loop.cc", "serial-grid-loop");
-    EXPECT_EQ(countRule(fs, "serial-grid-loop"), 2)
-        << "runObservation and WorkloadRun inside the loop; the "
-           "straight-line call must not fire";
-}
-
-TEST(LintSelftest, UntracedSweepLoopFiresOncePerFile)
-{
-    auto fs = runRule("bench/untraced_sweep_loop.cc",
-                      "no-untraced-sweep-loop");
-    EXPECT_EQ(countRule(fs, "no-untraced-sweep-loop"), 1)
-        << "advisory: one finding per file, at the first sweep call";
-}
-
-TEST(LintSelftest, TracedSweepLoopStaysQuiet)
-{
-    auto fs = runRule("bench/traced_sweep_loop.cc",
-                      "no-untraced-sweep-loop");
-    EXPECT_EQ(countRule(fs, "no-untraced-sweep-loop"), 0)
-        << "a PhaseTimer scope anywhere in the file satisfies the rule";
-}
-
-TEST(LintSelftest, UncachedBatchSolveFiresOncePerFile)
-{
-    auto fs = runRule("bench/uncached_batch_solve.cc",
-                      "no-uncached-batch-solve");
-    EXPECT_EQ(countRule(fs, "no-uncached-batch-solve"), 1)
-        << "advisory: one finding per file, at the first in-loop "
-           "solve(); the straight-line call must not fire";
-}
-
-TEST(LintSelftest, CachedBatchSolveStaysQuiet)
-{
-    auto fs = runRule("bench/cached_batch_solve.cc",
-                      "no-uncached-batch-solve");
-    EXPECT_EQ(countRule(fs, "no-uncached-batch-solve"), 0)
-        << "mentioning the memoizing Evaluator anywhere in the file "
-           "satisfies the rule";
-}
-
 TEST(LintSelftest, HotLoopAllocFires)
 {
     auto fs = runRule("src/sim/hot_loop_alloc.cc", "no-hot-loop-alloc");
@@ -218,11 +176,10 @@ TEST(LintSelftest, RuleCatalogIsStable)
     std::vector<std::string> expected = {
         "no-nondeterminism",    "float-equal",
         "c-style-cast",         "unclamped-double-to-int",
-        "mutable-global-state", "serial-grid-loop",
-        "no-untraced-sweep-loop", "no-uncached-batch-solve",
-        "no-hot-loop-alloc",    "unit-suffix",
-        "no-bare-catch",        "unit-mismatch",
-        "unguarded-shared-state", "contract-coverage",
+        "mutable-global-state", "no-hot-loop-alloc",
+        "unit-suffix",          "no-bare-catch",
+        "unit-mismatch",        "unguarded-shared-state",
+        "contract-coverage",
     };
     EXPECT_EQ(ids, expected);
 }
