@@ -20,8 +20,9 @@ namespace memsense::bench
 {
 
 /**
- * Build the solver; --measured derives the queuing curve via MLC.
- * With any fault-tolerance flag set, failing delay points of the MLC
+ * Build the solver; --measured derives the queuing curve via MLC,
+ * running the delay points on --jobs workers (the curve is identical
+ * for any count). With any fault-tolerance flag set, failing delay points of the MLC
  * sweeps are retried then dropped (and reported), and --checkpoint
  * makes the sweep family resumable.
  */
@@ -37,6 +38,7 @@ makeSolver(int argc, char **argv)
             for (auto &s : setups) {
                 s.delayCycles = {0, 8, 16, 32, 48, 96, 256, 1024};
                 s.measure = nsToPicos(250'000.0);
+                s.jobs = jobsArg(argc, argv);
                 s.resilience = resilienceArgs(argc, argv);
                 points += s.delayCycles.size();
             }

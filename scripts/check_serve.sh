@@ -6,6 +6,11 @@
 # in the serve stack and any drift in the serving determinism contract
 # (docs/serving.md).
 #
+# The JSON codec runs under ASan as well: the parser's hostile-input
+# suite, the request decoder's differential test (the decoder is the
+# first code network bytes reach) and the number formatter's printf
+# comparisons (it shifts 128-bit products).
+#
 # Usage: scripts/check_serve.sh [build_dir]
 set -euo pipefail
 
@@ -19,9 +24,16 @@ cmake -B "${build_dir}" -S "${repo_root}" \
     -DMEMSENSE_SANITIZE=address \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 
-cmake --build "${build_dir}" -j --target memsense_eval
+cmake --build "${build_dir}" -j --target memsense_eval \
+    serve_json_hardening_test serve_request_decode_test serve_evaluator_test
 
 export ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}"
+
+tests_dir="${build_dir}/tests"
+"${tests_dir}/serve_json_hardening_test"
+"${tests_dir}/serve_request_decode_test"
+"${tests_dir}/serve_evaluator_test" --gtest_filter='JsonNumber.*'
+echo "OK: JSON codec suites pass under ASan"
 
 eval_bin="${build_dir}/tools/memsense_eval"
 scratch="$(mktemp -d)"
@@ -48,4 +60,5 @@ diff -u "${golden}" "${scratch}/out_warm.jsonl" || {
 echo "OK: warm-cache rerun matches golden"
 
 echo "Serve check passed: byte-identical results at every worker" \
-     "count and cache temperature, with no ASan reports."
+     "count and cache temperature, codec suites green, with no ASan" \
+     "reports."

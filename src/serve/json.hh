@@ -12,7 +12,9 @@
  *
  * Malformed input raises ParseError (a ConfigError subclass) with a
  * byte offset, which the service layer converts into a per-line error
- * result instead of aborting the batch.
+ * result instead of aborting the batch. The grammar itself lives in
+ * serve/json_reader.hh, shared with the request decoder
+ * (parseRequestLine), which reads a request line with no tree.
  *
  * Hostile-input hardening: the parser is the first thing untrusted
  * network bytes hit, so it enforces explicit resource caps (JsonLimits)
@@ -117,9 +119,17 @@ void appendJsonEscaped(std::string &out, std::string_view s);
  * Append @p v to @p out exactly as printf("%.17g") renders it in the C
  * locale: always 17 significant digits (trailing zeros dropped, so not
  * the shortest form), which round-trips every double to the same bits
- * and keeps result streams byte-stable. Implemented with
- * std::to_chars(general, 17), which the standard defines as that
- * printf conversion, so it allocates nothing beyond @p out's growth.
+ * and keeps result streams byte-stable. Allocates nothing beyond
+ * @p out's growth.
+ *
+ * Fast path, for |v| in (1e-6, 2^53), where every number of a reply
+ * falls: |v| = m / 2^s with a 53-bit m, so the 17 digits are
+ * m * 10^k / 2^s for k = 16 - floor(log10 |v|) <= 22. That product is
+ * exact in one 128-bit multiply, the bits the shift drops round it
+ * half to even as printf does, and a two-digit table writes it out.
+ * Fallback, for zero, subnormals, inf, nan and every other magnitude:
+ * std::to_chars(general, 17), which the standard defines as the same
+ * printf conversion.
  */
 void appendJsonNumber(std::string &out, double v);
 

@@ -1,8 +1,13 @@
 #include "serve/request.hh"
 
+#include <span>
+#include <string_view>
+
 #include "model/paper_data.hh"
 #include "serve/json.hh"
+#include "serve/json_reader.hh"
 #include "util/error.hh"
+#include "util/fault_injection.hh"
 #include "util/string_util.hh"
 
 namespace memsense::serve
@@ -26,54 +31,297 @@ classFromName(const std::string &cls)
                       cls + "')");
 }
 
-model::WorkloadParams
-workloadFrom(const JsonValue &v)
+/**
+ * Every field a request line can set. kWorkload and kPlatform are
+ * sections: an object there is scanned for its own fields, and any
+ * other value (recorded, so a later occurrence is still dropped)
+ * leaves the class means or the baseline in place.
+ */
+enum Field : unsigned char
 {
-    model::WorkloadClass cls = model::WorkloadClass::BigData;
-    if (v.has("class"))
-        cls = classFromName(v.at("class").asString("workload.class"));
-    model::WorkloadParams p = model::paper::classParams(cls);
-    if (v.has("name"))
-        p.name = v.at("name").asString("workload.name");
-    if (v.has("cpi_cache"))
-        p.cpiCache = v.at("cpi_cache").asNumber("workload.cpi_cache");
-    if (v.has("bf"))
-        p.bf = v.at("bf").asNumber("workload.bf");
-    if (v.has("mpki"))
-        p.mpki = v.at("mpki").asNumber("workload.mpki");
-    if (v.has("wbr"))
-        p.wbr = v.at("wbr").asNumber("workload.wbr");
-    if (v.has("iopi"))
-        p.iopi = v.at("iopi").asNumber("workload.iopi");
-    if (v.has("io_bytes"))
-        p.ioBytes = v.at("io_bytes").asNumber("workload.io_bytes");
-    return p;
-}
+    kId,
+    kWorkload,
+    kPlatform,
+    kDeadlineMs,
+    kAllowStale,
+    kClass,
+    kName,
+    kCpiCache,
+    kBf,
+    kMpki,
+    kWbr,
+    kIopi,
+    kIoBytes,
+    kCores,
+    kSmt,
+    kGhz,
+    kChannels,
+    kSpeedMts,
+    kEfficiency,
+    kLatencyNs,
+    kFieldCount,
+};
 
-model::Platform
-platformFrom(const JsonValue &v)
+/** One member name a section accepts. */
+struct Key
 {
-    model::Platform plat; // struct defaults == paper baseline
-    if (v.has("cores"))
-        plat.cores = v.at("cores").asInt("platform.cores");
-    if (v.has("smt"))
-        plat.smt = v.at("smt").asInt("platform.smt");
-    if (v.has("ghz"))
-        plat.ghz = v.at("ghz").asNumber("platform.ghz");
-    if (v.has("channels"))
-        plat.memory.channels =
-            v.at("channels").asInt("platform.channels");
-    if (v.has("speed_mts"))
-        plat.memory.megaTransfers =
-            v.at("speed_mts").asNumber("platform.speed_mts");
-    if (v.has("efficiency"))
-        plat.memory.efficiency =
-            v.at("efficiency").asNumber("platform.efficiency");
-    if (v.has("latency_ns"))
-        plat.memory.compulsoryNs =
-            v.at("latency_ns").asNumber("platform.latency_ns");
-    return plat;
-}
+    std::string_view name;
+    Field field;
+};
+
+constexpr Key kRequestKeys[] = {
+    {"id", kId},
+    {"workload", kWorkload},
+    {"platform", kPlatform},
+    {"deadline_ms", kDeadlineMs},
+    {"allow_stale", kAllowStale},
+};
+
+constexpr Key kWorkloadKeys[] = {
+    {"class", kClass}, {"name", kName}, {"cpi_cache", kCpiCache},
+    {"bf", kBf},       {"mpki", kMpki}, {"wbr", kWbr},
+    {"iopi", kIopi},   {"io_bytes", kIoBytes},
+};
+
+constexpr Key kPlatformKeys[] = {
+    {"cores", kCores},
+    {"smt", kSmt},
+    {"ghz", kGhz},
+    {"channels", kChannels},
+    {"speed_mts", kSpeedMts},
+    {"efficiency", kEfficiency},
+    {"latency_ns", kLatencyNs},
+};
+
+/** What the first occurrence of a field held. */
+enum class Got : unsigned char
+{
+    Nothing, ///< no occurrence
+    Number,
+    String,
+    Bool,
+    Object,
+    Other,
+};
+
+struct Slot
+{
+    Got got = Got::Nothing;
+    bool flag = false; ///< valid when got == Bool
+    double num = 0.0;  ///< valid when got == Number
+};
+
+/**
+ * parseRequestLine's consumer of the JSON grammar. scan() makes one
+ * pass over the line and keeps the first occurrence of every field,
+ * decoding strings straight into the request; unknown and repeated
+ * members are validated like the rest, then dropped. apply() then
+ * checks the kept fields in a fixed order, so a syntax error anywhere
+ * in the line wins over every field error, and field errors come in
+ * the same order whatever order the line names the fields in.
+ */
+class RequestDecoder
+{
+  public:
+    RequestDecoder(std::string_view line, EvalRequest &req_in)
+        : reader(line, JsonLimits{}), req(req_in)
+    {}
+
+    void
+    scan()
+    {
+        reader.open();
+        reader.value(Keep{*this, document, kRequestKeys, nullptr});
+        reader.close();
+    }
+
+    void
+    apply(std::size_t line_number)
+    {
+        requireConfig(document.got == Got::Object,
+                      "request line must be a JSON object");
+        if (!present(kId))
+            req.id = "line-" + std::to_string(line_number);
+        else
+            requireKind(kId, Got::String, "id");
+
+        model::WorkloadClass cls = model::WorkloadClass::BigData;
+        if (present(kClass)) {
+            requireKind(kClass, Got::String, "workload.class");
+            cls = classFromName(className);
+        }
+        req.workload = model::paper::classParams(cls);
+        model::WorkloadParams &w = req.workload;
+        if (present(kName)) {
+            requireKind(kName, Got::String, "workload.name");
+            w.name = std::move(workloadName);
+        }
+        number(kCpiCache, "workload.cpi_cache", w.cpiCache);
+        number(kBf, "workload.bf", w.bf);
+        number(kMpki, "workload.mpki", w.mpki);
+        number(kWbr, "workload.wbr", w.wbr);
+        number(kIopi, "workload.iopi", w.iopi);
+        number(kIoBytes, "workload.io_bytes", w.ioBytes);
+
+        model::Platform &plat = req.platform; // defaults == paper baseline
+        integer(kCores, "platform.cores", plat.cores);
+        integer(kSmt, "platform.smt", plat.smt);
+        number(kGhz, "platform.ghz", plat.ghz);
+        integer(kChannels, "platform.channels", plat.memory.channels);
+        number(kSpeedMts, "platform.speed_mts", plat.memory.megaTransfers);
+        number(kEfficiency, "platform.efficiency", plat.memory.efficiency);
+        number(kLatencyNs, "platform.latency_ns", plat.memory.compulsoryNs);
+
+        if (present(kDeadlineMs)) {
+            number(kDeadlineMs, "deadline_ms", req.deadlineMs);
+            requireConfig(req.deadlineMs >= 0.0, "deadline_ms must be >= 0");
+        }
+        if (present(kAllowStale)) {
+            requireKind(kAllowStale, Got::Bool, "allow_stale");
+            req.allowStale = slots[kAllowStale].flag;
+        }
+    }
+
+  private:
+    /**
+     * Visitor of one field's value. A section (a field with @p keys)
+     * scans an object for its own fields; any other field keeps a
+     * number, a boolean, or a string when it has somewhere to put one.
+     * A value of any other kind is only recorded.
+     */
+    struct Keep
+    {
+        RequestDecoder &d;
+        Slot &slot;
+        std::span<const Key> keys; ///< the section's fields, if one
+        std::string *text;         ///< where a string goes, if anywhere
+
+        void
+        object(JsonReader &r)
+        {
+            if (keys.empty()) {
+                other(r);
+                return;
+            }
+            slot.got = Got::Object;
+            r.object(d.key, [this](const std::string &name) {
+                d.member(name, keys);
+            });
+        }
+        void array(JsonReader &r) { other(r); }
+        void
+        string(JsonReader &r)
+        {
+            if (text == nullptr) {
+                other(r);
+                return;
+            }
+            slot.got = Got::String;
+            r.string(*text);
+        }
+        void
+        boolean(bool flag)
+        {
+            slot.got = Got::Bool;
+            slot.flag = flag;
+        }
+        void null() { slot.got = Got::Other; }
+        void
+        number(double num)
+        {
+            slot.got = Got::Number;
+            slot.num = num;
+        }
+        void
+        other(JsonReader &r)
+        {
+            slot.got = Got::Other;
+            r.skipValue();
+        }
+    };
+
+    /** Route the value of member @p name of a section with @p keys. */
+    void
+    member(std::string_view name, std::span<const Key> keys)
+    {
+        Field field = kFieldCount;
+        for (const Key &k : keys) {
+            if (k.name == name) {
+                field = k.field;
+                break;
+            }
+        }
+        if (field == kFieldCount || present(field)) {
+            reader.skipValue();
+            return;
+        }
+        reader.value(Keep{*this, slots[field], keysOf(field), textOf(field)});
+    }
+
+    /** The fields of section @p field; empty for any other field. */
+    static std::span<const Key>
+    keysOf(Field field)
+    {
+        switch (field) {
+        case kWorkload: return kWorkloadKeys;
+        case kPlatform: return kPlatformKeys;
+        default: return {};
+        }
+    }
+
+    /** Where a string value of @p field is decoded to, if anywhere. */
+    std::string *
+    textOf(Field field)
+    {
+        switch (field) {
+        case kId: return &req.id;
+        case kClass: return &className;
+        case kName: return &workloadName;
+        default: return nullptr;
+        }
+    }
+
+    bool present(Field field) const { return slots[field].got != Got::Nothing; }
+
+    void
+    requireKind(Field field, Got kind, std::string_view what) const
+    {
+        if (slots[field].got == kind)
+            return;
+        throwWrongKind(what, kind == Got::String ? "string"
+                             : kind == Got::Bool ? "boolean"
+                                                 : "number");
+    }
+
+    void
+    number(Field field, std::string_view what, double &out) const
+    {
+        if (!present(field))
+            return;
+        requireKind(field, Got::Number, what);
+        out = slots[field].num;
+    }
+
+    void
+    integer(Field field, std::string_view what, int &out) const
+    {
+        if (!present(field))
+            return;
+        requireKind(field, Got::Number, what);
+        out = jsonInt(slots[field].num, what);
+    }
+
+    JsonReader reader;
+    EvalRequest &req;
+    Slot document;             ///< the line's top-level value
+    Slot slots[kFieldCount];   ///< first occurrence of each field
+    std::string className;     ///< workload.class, when a string
+    std::string workloadName;  ///< workload.name, when a string
+    /** The member name being routed. One buffer serves every object
+     *  of the line: member() looks a name up before it scans the
+     *  value, which may decode nested names into the buffer. */
+    std::string key;
+};
 
 void
 appendErrorJson(std::string &out, const std::string &type,
@@ -99,32 +347,13 @@ constexpr std::size_t kOkReplyReserve = 384;
 EvalRequest
 parseRequestLine(const std::string &line, std::size_t line_number)
 {
-    JsonValue v = parseJson(line);
-    requireConfig(v.kind == JsonValue::Kind::Object,
-                  "request line must be a JSON object");
+    // The parse fault site of the chaos harness, as in parseJson: it
+    // fires once per request line.
+    MS_FAULT_POINT("serve.json.parse");
     EvalRequest req;
-    if (v.has("id"))
-        req.id = v.at("id").asString("id");
-    else
-        req.id = "line-" + std::to_string(line_number);
-    if (v.has("workload"))
-        req.workload = workloadFrom(v.at("workload"));
-    else
-        req.workload =
-            model::paper::classParams(model::WorkloadClass::BigData);
-    if (v.has("platform"))
-        req.platform = platformFrom(v.at("platform"));
-    if (v.has("deadline_ms")) {
-        req.deadlineMs = v.at("deadline_ms").asNumber("deadline_ms");
-        requireConfig(req.deadlineMs >= 0.0,
-                      "deadline_ms must be >= 0");
-    }
-    if (v.has("allow_stale")) {
-        const JsonValue &stale = v.at("allow_stale");
-        requireConfig(stale.kind == JsonValue::Kind::Bool,
-                      "allow_stale must be a boolean");
-        req.allowStale = stale.boolean;
-    }
+    RequestDecoder decoder(line, req);
+    decoder.scan();
+    decoder.apply(line_number);
     return req;
 }
 

@@ -7,7 +7,9 @@
  * model::Solver::solve on a valid request must make none, serializing
  * an ok reply must make at most one (the reply string), a cache miss
  * must allocate only its cache entry (one list node, one index node),
- * and an armed telemetry site must allocate only on its first use.
+ * decoding a request line must allocate only an id too long to keep
+ * inline, and an armed telemetry site must allocate only on its first
+ * use.
  * Contract messages built eagerly on the passing path (a concatenation
  * handed to requireConfig, a std::string parameter bound to a literal)
  * show up here as allocations long before they show up in a profile.
@@ -126,25 +128,46 @@ TEST(AllocationGuard, OkReplySerializesInOneAllocation)
     }
 }
 
-TEST(AllocationGuard, RequestParseAllocatesOnlyItsDocument)
+/** A sweep point as clients send it: a class preset and six platform
+ *  fields, under the id @p id. */
+std::string
+sweepPointLine(const std::string &id)
 {
-    // A sweep point as clients send it: 3 + 1 + 6 = 10 JSON members.
-    const std::string line =
-        "{\"id\":\"sweep-000123-latency_ns\",\"workload\":{\"class\":"
-        "\"hpc\"},\"platform\":{\"cores\":8,\"smt\":2,\"ghz\":2.7,"
-        "\"channels\":4,\"speed_mts\":1866.7,\"latency_ns\":75}}";
-    serve::parseRequestLine(line, 1); // warm: the class preset table
+    return "{\"id\":\"" + id +
+           "\",\"workload\":{\"class\":\"hpc\"},\"platform\":{"
+           "\"cores\":8,\"smt\":2,\"ghz\":2.7,\"channels\":4,"
+           "\"speed_mts\":1866.7,\"latency_ns\":75}}";
+}
+
+/** Heap allocations of decoding @p line into a request with id
+ *  @p id, after one warm-up decode (the class preset table). */
+std::size_t
+decodeAllocations(const std::string &line, const std::string &id)
+{
+    serve::parseRequestLine(line, 1);
     serve::EvalRequest req;
     const std::size_t allocations =
         allocationsOf([&] { req = serve::parseRequestLine(line, 1); });
-    // The parsed document costs the parse's member scratch stack, one
-    // exactly-sized member array per object (three here), the long id
-    // and its copy; an error message built on the passing path costs
-    // one more per field read and breaks this bound, and so does a
-    // member array that regrows.
-    EXPECT_LE(allocations, 6u);
+    EXPECT_EQ(req.id, id);
+    EXPECT_EQ(req.workload.cls, model::WorkloadClass::Hpc);
     EXPECT_EQ(req.platform.memory.channels, 4);
-    EXPECT_EQ(req.id, "sweep-000123-latency_ns");
+    return allocations;
+}
+
+TEST(AllocationGuard, RequestDecodeAllocatesOnlyTheLongId)
+{
+    // The decoder writes fields straight into the request: the only
+    // heap block is the id, which outgrows the small-string buffer. A
+    // parsed document, a member array, or an error message built on
+    // the passing path each break this bound.
+    const std::string id = "sweep-000123-latency_ns"; // 23 bytes
+    EXPECT_LE(decodeAllocations(sweepPointLine(id), id), 1u);
+}
+
+TEST(AllocationGuard, RequestDecodeWithAShortIdAllocatesNothing)
+{
+    const std::string id = "h-000123-lat-ns"; // 15 bytes: fits inline
+    EXPECT_EQ(decodeAllocations(sweepPointLine(id), id), 0u);
 }
 
 /** A cold request: the HPC class at @p n ns of compulsory latency. */

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cfloat>
 #include <cmath>
@@ -374,10 +375,10 @@ TEST(ServeService, NoResultFieldLeaksCacheState)
 // -- jsonNumber / appendJsonNumber: the "%.17g" contract -------------
 //
 // Every double in a result line goes through appendJsonNumber, and the
-// serve golden pins those bytes. The formatter uses
-// std::to_chars(general, 17); these tests hold it to printf("%.17g")
-// bit pattern by bit pattern, so the golden can only move when a
-// solver answer does.
+// serve golden pins those bytes. The formatter has an exact integer
+// path and a std::to_chars(general, 17) fallback; these tests hold both
+// to printf("%.17g") bit pattern by bit pattern, so the golden can only
+// move when a solver answer does.
 
 std::string
 printf17g(double v)
@@ -461,6 +462,117 @@ TEST(JsonNumber, MatchesPrintf17gOnRandomBitPatterns)
             ++mismatches;
             expectPrintf17g(v);
         }
+    }
+    EXPECT_EQ(mismatches, 0);
+}
+
+/**
+ * Compare @p v against printf("%.17g") without an assertion per value
+ * (the loops below check millions); report a mismatch in full and
+ * return 1, else 0.
+ */
+int
+mismatchOf(double v)
+{
+    if (jsonNumber(v) == printf17g(v))
+        return 0;
+    expectPrintf17g(v);
+    return 1;
+}
+
+/** mismatchOf() for the @p ulps doubles on each side of @p center and
+ *  their negations. */
+int
+mismatchesAround(double center, int ulps)
+{
+    int mismatches = 0;
+    double up = center;
+    double down = center;
+    mismatches += mismatchOf(center) + mismatchOf(-center);
+    for (int i = 0; i < ulps; ++i) {
+        up = std::nextafter(up, std::numeric_limits<double>::infinity());
+        down = std::nextafter(down, 0.0);
+        mismatches += mismatchOf(up) + mismatchOf(-up) + mismatchOf(down) +
+                      mismatchOf(-down);
+    }
+    return mismatches;
+}
+
+// The formatter's exact path covers |v| in (1e-6, 2^53) and falls back
+// to to_chars elsewhere; the tests below walk its edges.
+
+TEST(JsonNumber, MatchesPrintf17gAroundEveryPowerOfTen)
+{
+    // The exact path picks the decade with one compare and scales by
+    // 10^(16 - decade): an off-by-one shows right at a power of ten.
+    int mismatches = 0;
+    for (int e = -7; e <= 17; ++e) {
+        const std::string text = "1e" + std::to_string(e);
+        mismatches += mismatchesAround(std::strtod(text.c_str(), nullptr),
+                                       2000);
+    }
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(JsonNumber, MatchesPrintf17gAroundTwoToThe52And53)
+{
+    // 2^52 is where the shift that scales the product reaches zero;
+    // 2^53 is the exact path's upper edge.
+    EXPECT_EQ(mismatchesAround(4503599627370496.0, 2000) +
+                  mismatchesAround(9007199254740992.0, 2000),
+              0);
+}
+
+TEST(JsonNumber, MatchesPrintf17gOnIntegersAndHalvesBelowAMillion)
+{
+    int mismatches = 0;
+    for (int i = 0; i < 1000000; ++i)
+        mismatches += mismatchOf(i) + mismatchOf(i + 0.5);
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(JsonNumber, RoundsExactTiesHalfToEven)
+{
+    // n * 2^-t has the decimal digits of n * 5^t; with n odd and that
+    // product 18 digits long, the 18th digit is a 5 with nothing after
+    // it, so the 17-digit rounding is an exact tie.
+    EXPECT_EQ(jsonNumber(1000000000000000.25), "1000000000000000.2");
+    EXPECT_EQ(jsonNumber(1000000000000000.75), "1000000000000000.8");
+    EXPECT_EQ(jsonNumber(-1000000000000001.25), "-1000000000000001.2");
+    Rng rng(1815);
+    int mismatches = 0;
+    int ties = 0;
+    std::uint64_t pow5 = 5;
+    for (int t = 1; t <= 25; ++t, pow5 *= 5) {
+        const std::uint64_t lo =
+            (std::uint64_t{100000000000000000} + pow5 - 1) / pow5;
+        const std::uint64_t hi =
+            std::min((std::uint64_t{1000000000000000000} - 1) / pow5,
+                     (std::uint64_t{1} << 53) - 1);
+        if (lo > hi)
+            continue;
+        for (int i = 0; i < 2000; ++i) {
+            const std::uint64_t n = (lo + rng.nextBounded(hi - lo + 1)) | 1;
+            if (n > hi)
+                continue;
+            const double v = std::ldexp(static_cast<double>(n), -t);
+            mismatches += mismatchOf(v) + mismatchOf(-v);
+            ++ties;
+        }
+    }
+    EXPECT_EQ(mismatches, 0);
+    EXPECT_GT(ties, 40000);
+}
+
+TEST(JsonNumber, MatchesPrintf17gOnLogUniformValues)
+{
+    // Uniform in log10 over [1e-7, 1e18): every decade the exact path
+    // covers, both neighbours it falls back on, and both signs.
+    Rng rng(20151016);
+    int mismatches = 0;
+    for (int i = 0; i < 3000000 && mismatches < 10; ++i) {
+        const double v = std::pow(10.0, -7.0 + 25.0 * rng.nextDouble());
+        mismatches += mismatchOf(rng.chance(0.5) ? -v : v);
     }
     EXPECT_EQ(mismatches, 0);
 }
