@@ -5,9 +5,11 @@
 # injected fault sites and stress configurations. Every scenario must
 # end with: loadgen exit 0 with every request classified, server exit 0
 # after SIGTERM, and a consistent reply ledger in --stats-json
-# (accepted == ok + error + write-failure replies). The batch tool's
-# golden output is re-checked at the end so none of the serving-layer
-# churn can drift the byte-stable evaluation contract.
+# (accepted == ok + error + write-failure replies). The deadline
+# scenario feeds the fixture through --stdio instead, so its lines
+# arrive as one burst. The batch tool's golden output is re-checked at
+# the end so none of the serving-layer churn can drift the byte-stable
+# evaluation contract.
 #
 # Faults reach the server through MEMSENSE_FAULTS; the loadgen runs
 # with that variable stripped so only the server misbehaves.
@@ -61,8 +63,7 @@ require_json_field() { # file needle label
 #   run_scenario <name> <fault_spec> <loadgen_extra...>
 # Extra server flags come in via the SERVER_FLAGS array variable; the
 # loadgen's fixture and connection count via REQUESTS and CONNECTIONS
-# (default: the shared fixture on 4 connections). WARM names a fixture
-# replayed once on one connection before the measured run.
+# (default: the shared fixture on 4 connections).
 run_scenario() {
     local name="$1" faults="$2"
     shift 2
@@ -87,16 +88,6 @@ run_scenario() {
         sleep 0.05
     done
 
-    if [ -n "${WARM:-}" ]; then
-        env -u MEMSENSE_FAULTS "${loadgen_bin}" --unix "${sock}" \
-            --requests "${WARM}" --connections 1 \
-            --total "$(wc -l < "${WARM}")" --recv-timeout-ms 10000 \
-            >/dev/null 2>"${scratch}/${name}.warm.log" || {
-            echo "FAIL(${name}): warm-up loadgen exited non-zero" >&2
-            cat "${scratch}/${name}.warm.log" >&2
-            exit 1
-        }
-    fi
     env -u MEMSENSE_FAULTS "${loadgen_bin}" --unix "${sock}" \
         --requests "${REQUESTS:-${requests}}" \
         --connections "${CONNECTIONS:-4}" --total 200 \
@@ -125,170 +116,88 @@ run_scenario() {
 
 # --- Scenario matrix ---------------------------------------------------
 
-# Baseline: no faults, default admission config.
-SERVER_FLAGS=(--workers 2)
+# Baseline: no faults, default flags.
+SERVER_FLAGS=()
 run_scenario baseline ""
 
 # One scenario per server-side fault site, firing probabilistically.
-for site in server.read server.parse server.enqueue server.solve \
-            server.write evaluator.solve; do
-    SERVER_FLAGS=(--workers 2)
+for site in server.read server.parse server.solve server.write \
+            evaluator.solve; do
+    SERVER_FLAGS=()
     run_scenario "fault-${site}" "seed=7;${site}:throw:p=0.1"
 done
 
-# Overload: delay faults jam the one worker while 16 closed-loop
-# connections keep 16 cold requests in flight against a queue of 2, so
-# admission must shed (more than a worker plus the queue can hold), and
-# shedding must stay bounded: some ok, some shed, none lost.
-#   check_shedding <name> [stale]
-check_shedding() {
-    python3 - "${scratch}/$1.report.json" "${scratch}/$1.stats.json" \
-        "${2:-}" <<'EOF'
-import json, sys
-report = json.load(open(sys.argv[1]))
-stats = json.load(open(sys.argv[2]))
-stale = sys.argv[3] == "stale"
-sent = report["sent"]
-assert sent == 200, f"loadgen lost requests: {report}"
-assert stats["shed"] > 0, f"overload never shed: {stats}"
-assert report["ok"] > 0, f"nothing succeeded under overload: {report}"
-assert report["overloaded"] < sent, f"everything was shed: {report}"
-if stale:
-    assert stats["stale_served"] > 0, f"no stale answers: {stats}"
-    assert report["degraded"] > 0, f"no degraded replies: {report}"
-    assert report["degraded"] == stats["stale_served"], \
-        f'degraded {report["degraded"]} vs stale_served {stats["stale_served"]}'
-print(f'shed {stats["shed"]} of {sent}, ok {report["ok"]},'
-      f' stale_served {stats["stale_served"]}')
-EOF
-}
-
-SERVER_FLAGS=(--workers 1 --max-queue 2)
-CONNECTIONS=16 run_scenario overload "seed=7;server.solve:delay=20:p=0.5"
-require_json_field "${scratch}/overload.report.json" '"overloaded":' overload
-check_shedding overload
-echo "OK: overload shedding is bounded (some ok, some shed, none lost)"
-
-# Deadline pressure: every request carries a tight budget while solves
-# are randomly delayed; replies must be ok or deadline_exceeded.
-SERVER_FLAGS=(--workers 2 --default-deadline-ms 15)
-run_scenario deadlines "seed=11;server.solve:delay=25:p=0.4" \
-    --deadline-ms 15
-
-# Stale degradation: the same overload, over near-duplicate sweep
-# points. Each group shares a 3-significant-digit coarse key but every
-# line has its own exact fingerprint, so a shed request misses the
-# cache yet can be answered stale (`"degraded":true`) from a neighbour
-# instead of being shed outright. A warm-up pass solves three other
-# members of each group first; the shed replies of the flood come back
-# far faster than a delayed solve, so without it the whole run can be
-# over before any neighbour is solved.
-near_dups="${scratch}/near_duplicates.jsonl"
-near_warm="${scratch}/near_duplicates_warm.jsonl"
-for base in 10 20 30 40; do
-    for k in $(seq 1 12); do
-        printf '{"workload":{"mpki":%d.%04d}}\n' "${base}" "${k}"
-    done
-done > "${near_dups}"
-for base in 10 20 30 40; do
-    for k in 1 2 3; do
-        printf '{"workload":{"mpki":%d.%05d}}\n' "${base}" "${k}"
-    done
-done > "${near_warm}"
-SERVER_FLAGS=(--workers 1 --max-queue 2 --allow-stale)
-CONNECTIONS=16 REQUESTS="${near_dups}" WARM="${near_warm}" \
-    run_scenario degraded "seed=7;server.solve:delay=20:p=0.5"
-check_shedding degraded stale
-echo "OK: degraded (shed requests answered stale)"
-
-# Filling the stale cache is best effort: a fault there, on the
-# single-job and the batched solve path alike, must cost neither a
-# second reply (ledger) nor a worker thread (clean exit on SIGTERM).
-SERVER_FLAGS=(--workers 1 --max-queue 2 --allow-stale)
-CONNECTIONS=16 REQUESTS="${near_dups}" WARM="${near_warm}" \
-    run_scenario degraded-store-fault \
-    "seed=7;server.solve:delay=20:p=0.5;server.stale_store:throw:p=0.5"
-check_shedding degraded-store-fault stale
-echo "OK: degraded-store-fault (stale answers despite store faults)"
-
-# --- Batching x quota matrix -------------------------------------------
-
-# Fault sites with batching on: server.batch fires between batch
-# assembly and the evaluator call, and the solve-path sites now cover
-# the coalesced dispatch shape as well.
-for site in server.batch server.solve evaluator.solve; do
-    SERVER_FLAGS=(--workers 2 --max-batch 16 --batch-linger-ms 5)
-    run_scenario "batch-fault-${site}" "seed=13;${site}:throw:p=0.1"
-done
-
-# Batched overload: delay faults hold the worker while the queue
-# builds, so drain passes actually coalesce multi-request batches.
-SERVER_FLAGS=(--workers 1 --max-queue 32 --max-batch 16 \
-              --batch-linger-ms 5)
-run_scenario batch-overload "seed=19;server.solve:delay=20:p=0.5"
-require_json_field "${scratch}/batch-overload.stats.json" \
-    '"batches":' batch-overload
-
-# Per-client quotas under a skewed client mix: two oversized requests
-# in the fixture exceed the 1 KiB per-client byte quota every time
-# they are sent, so quota sheds MUST appear, as `quota_exceeded` on
-# the client side and `quota_shed` (globally and in the per-client
-# ledgers) on the server side — while everything else keeps flowing.
-fat_pad="$(head -c 1200 /dev/zero | tr '\0' 'x')"
-quota_requests="${scratch}/quota_requests.jsonl"
-cp "${requests}" "${quota_requests}"
-echo "{\"workload\":{\"mpki\":47.5},\"pad\":\"${fat_pad}\"}" \
-    >> "${quota_requests}"
-echo "{\"workload\":{\"mpki\":48.5},\"pad\":\"${fat_pad}\"}" \
-    >> "${quota_requests}"
-sock="${scratch}/quota.sock"
-stats="${scratch}/quota.stats.json"
-report="${scratch}/quota.report.json"
-echo "=== scenario quota-skew (faults: server.solve delay) ==="
-MEMSENSE_FAULTS="seed=23;server.solve:delay=5:p=0.3" \
-    "${serve_bin}" --unix "${sock}" --stats-json "${stats}" \
-    --workers 2 --max-batch 16 --batch-linger-ms 2 \
-    --max-queue-per-client 8 --max-inflight-kb-per-client 1 \
-    2>"${scratch}/quota.server.log" &
-server_pid=$!
-for _ in $(seq 1 100); do
-    [ -S "${sock}" ] && break
-    sleep 0.05
-done
-env -u MEMSENSE_FAULTS "${loadgen_bin}" --unix "${sock}" \
-    --requests "${quota_requests}" --connections 4 --total 200 \
-    --clients-skewed 0.5 --recv-timeout-ms 10000 \
-    --report-json "${report}" \
-    >/dev/null 2>"${scratch}/quota.loadgen.log" || {
-    echo "FAIL(quota-skew): loadgen exited non-zero" >&2
-    cat "${scratch}/quota.loadgen.log" >&2
-    exit 1
-}
-kill -TERM "${server_pid}"
-rc=0
-wait "${server_pid}" || rc=$?
-server_pid=""
-[ "${rc}" -eq 0 ] || {
-    echo "FAIL(quota-skew): server exit ${rc} after SIGTERM" >&2
-    cat "${scratch}/quota.server.log" >&2
-    exit 1
-}
-require_json_field "${stats}" '"consistent":true' quota-skew
-require_json_field "${stats}" '"clients":{' quota-skew
-python3 - "${report}" "${stats}" <<'EOF'
+# Backpressure: 16 closed-loop connections against solves that half the
+# time stall 20ms, at default flags. Each reader answers its own
+# connection's lines, so a slow solve holds back only its own client,
+# whose next request waits in its socket: every request is answered
+# ok, none is refused as overloaded, none is lost. The fixture is the
+# shared one without the lines the golden answers with an error (the
+# malformed and the out-of-domain line), so "every request ok" is the
+# whole contract.
+ok_requests="${scratch}/ok_requests.jsonl"
+paste -d '\n' "${fixture_src}" "${golden}" | paste - - \
+    | grep -F '"ok":true' | cut -f1 > "${ok_requests}"
+SERVER_FLAGS=()
+CONNECTIONS=16 REQUESTS="${ok_requests}" \
+    run_scenario backpressure "seed=7;server.solve:delay=20:p=0.5"
+python3 - "${scratch}/backpressure.report.json" \
+    "${scratch}/backpressure.stats.json" <<'PY'
 import json, sys
 report = json.load(open(sys.argv[1]))
 stats = json.load(open(sys.argv[2]))
 assert report["sent"] == 200, f"loadgen lost requests: {report}"
-assert report["quota_exceeded"] > 0, f"no quota sheds: {report}"
-assert report["ok"] > 0, f"nothing succeeded beside the fat lines: {report}"
-assert stats["quota_shed"] == report["quota_exceeded"], \
-    f'ledger mismatch: {stats["quota_shed"]} vs {report["quota_exceeded"]}'
-per_client = sum(c["quota_shed"] for c in stats["clients"].values())
-assert per_client == stats["quota_shed"], \
-    f'per-client quota ledger disagrees: {per_client} vs {stats["quota_shed"]}'
-EOF
-echo "OK: quota-skew (quota sheds ledgered globally and per client)"
+assert report["ok"] == report["sent"], f"not every request ok: {report}"
+assert report["overloaded"] == 0, f"overloaded replies: {report}"
+assert stats["accepted"] == 200, f"server ledger: {stats}"
+print(f'ok {report["ok"]} of {report["sent"]},'
+      f' p99 {report["p99_ms"]} ms')
+PY
+echo "OK: backpressure (slow solves answered, nothing refused)"
+
+# Deadline pressure: the whole fixture arrives on stdin as one burst,
+# so each reader pass holds many lines, while 40% of solves stall 25ms
+# against a 15ms default budget that starts with the pass. A line
+# waiting in its pass behind a stalled solve must be refused
+# deadline_exceeded; every other line gets the golden's bytes, in line
+# order, and the ledger holds.
+deadline_faults="seed=11;server.solve:delay=25:p=0.4"
+echo "=== scenario deadlines (faults: ${deadline_faults}) ==="
+MEMSENSE_FAULTS="${deadline_faults}" "${serve_bin}" --stdio \
+    --default-deadline-ms 15 \
+    --stats-json "${scratch}/deadlines.stats.json" \
+    < "${fixture_src}" > "${scratch}/deadlines.replies.jsonl" \
+    2>"${scratch}/deadlines.server.log" || {
+    echo "FAIL(deadlines): memsense_serve --stdio exited non-zero" >&2
+    cat "${scratch}/deadlines.server.log" >&2
+    exit 1
+}
+python3 - "${golden}" "${scratch}/deadlines.replies.jsonl" \
+    "${scratch}/deadlines.stats.json" <<'PY'
+import json, sys
+golden = open(sys.argv[1]).read().splitlines()
+replies = open(sys.argv[2]).read().splitlines()
+stats = json.load(open(sys.argv[3]))
+assert len(replies) == len(golden), \
+    f"{len(replies)} replies for {len(golden)} request lines"
+expired = 0
+for want, got in zip(golden, replies):
+    if got == want:
+        continue
+    refusal = {"id": json.loads(want)["id"], "ok": False,
+               "error": {"type": "deadline_exceeded",
+                         "message": "deadline expired before the solve",
+                         "fatal": False, "attempts": 0}}
+    assert json.loads(got) == refusal, \
+        f"{got!r} is neither the golden {want!r} nor its refusal"
+    expired += 1
+assert expired > 0, "no line ran out of budget behind a stalled solve"
+assert stats["deadline_exceeded"] == expired, f"server ledger: {stats}"
+assert stats["consistent"], f"server ledger: {stats}"
+print(f"{expired} of {len(replies)} lines expired in their pass")
+PY
+echo "OK: deadlines (lines behind a stalled solve expire, the rest" \
+     "match the golden)"
 
 # --- Golden guard ------------------------------------------------------
 # The serving layer must not have drifted the batch tool's bytes
@@ -302,4 +211,5 @@ diff -u "${golden}" "${scratch}/eval.jsonl" || {
 echo "OK: memsense_eval golden is byte-identical"
 
 echo "Chaos check passed: the server survived every fault site and" \
-     "overload shape with a consistent ledger, under ASan."
+     "the backpressure and deadline loads with a consistent ledger," \
+     "under ASan."

@@ -20,7 +20,7 @@ cmake -B "${build_dir}" -S "${repo_root}" \
 # Only the fault-tolerance targets: the rest of the suite has its own
 # sanitizer passes (check_tsan.sh, check_ubsan.sh). The serve targets
 # joined this pass when MS_FAULT_POINT grew through the server's
-# accept/read/parse/enqueue/solve/write path.
+# accept/read/parse/solve/write path.
 cmake --build "${build_dir}" -j \
     --target util_retry_test util_fault_injection_test \
     measure_resilience_test measure_parallel_test measure_test \

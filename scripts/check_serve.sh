@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Determinism check of the batch evaluation service: build memsense_eval
-# under AddressSanitizer, run the 50-request fixture at several worker
-# counts plus a warm-cache rerun, and require every result stream to be
-# byte-identical to the checked-in golden. Catches both memory errors
-# in the serve stack and any drift in the serving determinism contract
-# (docs/serving.md).
+# Determinism check of the serve tools: build memsense_eval and
+# memsense_serve under AddressSanitizer, run the 50-request fixture
+# through memsense_eval at several worker counts plus a warm-cache
+# rerun and through memsense_serve --stdio, and require every result
+# stream to be byte-identical to the checked-in golden, order included.
+# Catches both memory errors in the serve stack and any drift in the
+# serving determinism contract (docs/serving.md).
 #
 # The JSON codec runs under ASan as well: the parser's hostile-input
 # suite, the request decoder's differential test (the decoder is the
@@ -24,7 +25,7 @@ cmake -B "${build_dir}" -S "${repo_root}" \
     -DMEMSENSE_SANITIZE=address \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 
-cmake --build "${build_dir}" -j --target memsense_eval \
+cmake --build "${build_dir}" -j --target memsense_eval memsense_serve_bin \
     serve_json_hardening_test serve_request_decode_test serve_evaluator_test
 
 export ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}"
@@ -59,6 +60,16 @@ diff -u "${golden}" "${scratch}/out_warm.jsonl" || {
 }
 echo "OK: warm-cache rerun matches golden"
 
+# The server answers each line on its connection's reader, in order:
+# the stdio transport must reproduce the golden as it stands.
+"${build_dir}/tools/memsense_serve" --stdio < "${requests}" \
+    > "${scratch}/out_serve.jsonl"
+diff -u "${golden}" "${scratch}/out_serve.jsonl" || {
+    echo "FAIL: memsense_serve --stdio output differs from golden" >&2
+    exit 1
+}
+echo "OK: memsense_serve --stdio matches golden"
+
 echo "Serve check passed: byte-identical results at every worker" \
-     "count and cache temperature, codec suites green, with no ASan" \
-     "reports."
+     "count and cache temperature and through the server, codec" \
+     "suites green, with no ASan reports."

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Build the tree with ThreadSanitizer and run the parallel-engine and
 # serving tests. A clean exit means TSan found no data races in the
-# thread pool, the parallel executor, the logging sink, or the
-# server's cross-thread hand-offs (admission groups, worker passes,
-# reply batches and their ledger updates).
+# thread pool, the parallel executor, the logging sink, or the server's
+# shared state (the solve cache its readers share, the ledger and
+# per-client counters, connection accept and shutdown).
 #
 # Usage: scripts/check_tsan.sh [build_dir]
 #

@@ -28,13 +28,6 @@ Solver::Solver(QueuingModel queuing_model, SolverOptions options)
 OperatingPoint
 Solver::solve(const WorkloadParams &p, const Platform &plat) const
 {
-    return solve(p, plat, CancelCheck{});
-}
-
-OperatingPoint
-Solver::solve(const WorkloadParams &p, const Platform &plat,
-              const CancelCheck &cancel) const
-{
     MS_FAULT_POINT("solver.solve");
     MS_TRACE_SPAN("solver.solve");
     MS_METRIC_COUNT("solver.solves");
@@ -86,14 +79,6 @@ Solver::solve(const WorkloadParams &p, const Platform &plat,
     double hi = max_util;
     int iter = 0;
     while (hi - lo > opts.tolerance && iter < opts.maxIterations) {
-        // Cooperative cancellation: polled between iterations only, so
-        // an abandoned solve leaves no partially-updated bracket state
-        // behind (the serving layer's per-request deadlines hang off
-        // this hook).
-        if (cancel && cancel()) {
-            MS_METRIC_COUNT("solver.cancelled");
-            throw SolveCancelled(iter);
-        }
         double mid = 0.5 * (lo + hi);
         if (implied_util(mid) > mid)
             lo = mid;

@@ -19,7 +19,6 @@
 #ifndef MEMSENSE_MODEL_SOLVER_HH
 #define MEMSENSE_MODEL_SOLVER_HH
 
-#include <functional>
 #include <string>
 
 #include "model/params.hh"
@@ -29,38 +28,6 @@
 
 namespace memsense::model
 {
-
-/**
- * Cooperative cancellation hook for long-running solves. The solver
- * polls it between fixed-point iterations (never mid-iteration, so no
- * partial state escapes) and abandons the solve with SolveCancelled
- * when it returns true. An empty function means "never cancel". The
- * serving layer binds per-request deadlines to this: the hook compares
- * an injectable clock against the request's deadline, mirroring the
- * cooperative job deadlines of measure/resilience.hh.
- */
-using CancelCheck = std::function<bool()>;
-
-/**
- * Raised when a CancelCheck asked the solver to abandon its work
- * between iterations. Retryable by taxonomy (the inputs are fine; a
- * later attempt with a fresh budget may finish), though the serving
- * layer maps it to a `deadline_exceeded` reply instead of retrying.
- */
-class SolveCancelled : public TransientError
-{
-  public:
-    explicit SolveCancelled(int iterations_done)
-        : TransientError("solve cancelled cooperatively after " +
-                         std::to_string(iterations_done) +
-                         " iterations"),
-          iterations(iterations_done)
-    {}
-
-    const char *kind() const override { return "SolveCancelled"; }
-
-    int iterations; ///< iterations completed before the hook fired
-};
 
 /**
  * Raised when the fixed-point iteration exhausts its budget before the
@@ -158,15 +125,6 @@ class Solver : public SolveEngine
     /** Solve for the stable operating point. */
     OperatingPoint solve(const WorkloadParams &p,
                          const Platform &plat) const override;
-
-    /**
-     * Solve with a cooperative cancellation hook: @p cancel is polled
-     * between fixed-point iterations and, when it returns true, the
-     * solve is abandoned with SolveCancelled. An empty @p cancel is
-     * exactly solve(p, plat).
-     */
-    OperatingPoint solve(const WorkloadParams &p, const Platform &plat,
-                         const CancelCheck &cancel) const;
 
     /**
      * CPI relative to a reference operating point:

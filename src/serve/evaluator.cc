@@ -16,10 +16,6 @@ namespace memsense::serve
 namespace
 {
 
-/** Shared "never cancel" hook — keeps the ternary below reference-safe
- *  (no temporary bound to a const reference). */
-const model::CancelCheck kNoCancel{};
-
 /** Hash adapter for the batch's dedup map. */
 struct KeyHash
 {
@@ -42,7 +38,10 @@ model::OperatingPoint
 Evaluator::solve(const model::WorkloadParams &p,
                  const model::Platform &plat) const
 {
-    return solveCancellable(p, plat, model::CancelCheck{});
+    const model::RequestKey key = model::requestKey(p, plat);
+    if (auto hit = probe(key))
+        return *hit;
+    return solveMiss(key, p, plat);
 }
 
 std::optional<model::OperatingPoint>
@@ -60,29 +59,22 @@ Evaluator::probe(const model::WorkloadParams &p,
 }
 
 model::OperatingPoint
-Evaluator::solveCancellable(const model::WorkloadParams &p,
-                            const model::Platform &plat,
-                            const model::CancelCheck &cancel) const
+Evaluator::solveMiss(const model::RequestKey &key,
+                     const model::WorkloadParams &p,
+                     const model::Platform &plat) const
 {
-    const model::RequestKey key = model::requestKey(p, plat);
-    if (auto hit = probe(key))
-        return *hit;
     MS_FAULT_POINT("evaluator.solve");
-    model::OperatingPoint op = analyticSolver.solve(p, plat, cancel);
+    model::OperatingPoint op = analyticSolver.solve(p, plat);
     MS_FAULT_POINT("evaluator.insert");
     cache.insert(key.hash(), key, op);
     return op;
 }
 
 std::vector<EvalOutcome>
-Evaluator::evaluateBatch(const std::vector<EvalRequest> &requests,
-                         const std::vector<model::CancelCheck> &cancels)
-    const
+Evaluator::evaluateBatch(const std::vector<EvalRequest> &requests) const
 {
     MS_TRACE_SPAN("serve.batch");
     MS_METRIC_COUNT_N("serve.batch.requests", requests.size());
-    MS_REQUIRE(cancels.empty() || cancels.size() == requests.size(),
-               "evaluateBatch cancels must be empty or one per request");
 
     constexpr std::size_t kNotUnique = static_cast<std::size_t>(-1);
 
@@ -144,17 +136,12 @@ Evaluator::evaluateBatch(const std::vector<EvalRequest> &requests,
     measure::ParallelExecutor executor(options.jobs);
     auto solved = executor.mapSettled(
         uniqueRequestIndex,
-        [this, &requests, &cancels](std::size_t request_index) {
+        [this, &requests](std::size_t request_index) {
             const EvalRequest &req = requests[request_index];
             // Inside the resilient wrapper: an injected fault here is
             // retried or quarantined per request, never thrown out.
             MS_FAULT_POINT("evaluator.solve");
-            // The unique solve polls the cancellation hook of the
-            // request that introduced it (see the header contract).
-            const model::CancelCheck &cancel =
-                cancels.empty() ? kNoCancel : cancels[request_index];
-            return analyticSolver.solve(req.workload, req.platform,
-                                        cancel);
+            return analyticSolver.solve(req.workload, req.platform);
         },
         options.resilience);
 

@@ -25,12 +25,12 @@
  * counters are therefore identical for any worker count. Failed solves
  * are never cached (a transient fault must not poison later batches).
  *
- * Thread-safety: solve() and evaluateBatch() may both be called
- * concurrently (all mutable state is the shard-locked cache plus
- * locals). Note that concurrent batches interleave their cache-counter
- * updates, so the counter *sequence* is only deterministic for callers
- * that serialize their batches (the batch CLI does; the server's
- * workers deliberately do not).
+ * Thread-safety: probe(), solve(), solveMiss() and evaluateBatch()
+ * may all be called concurrently (all mutable state is the
+ * shard-locked cache plus locals). Note that concurrent callers
+ * interleave their cache-counter updates, so the counter *sequence* is
+ * only deterministic for callers that serialize their calls (the batch
+ * CLI does; the server's reader threads deliberately do not).
  */
 
 #ifndef MEMSENSE_SERVE_EVALUATOR_HH
@@ -82,9 +82,9 @@ class Evaluator : public model::SolveEngine
 
     /**
      * Cache probe only: a verified hit (refreshing recency) or
-     * nullopt, never a solve. The server's reader threads use this as
-     * the admission fast path — a hit is answered inline and consumes
-     * no queue slot, which is what "shed cold solves first" means.
+     * nullopt, never a solve. The server's reader threads probe each
+     * request line once; a miss goes on to solveMiss() with the same
+     * key.
      */
     std::optional<model::OperatingPoint>
     probe(const model::RequestKey &key) const;
@@ -95,34 +95,20 @@ class Evaluator : public model::SolveEngine
           const model::Platform &plat) const;
 
     /**
-     * Cached solve with a cooperative cancellation hook (probe, then
-     * Solver::solve(p, plat, cancel), then insert). A cancelled or
-     * failed solve caches nothing. Throws model::SolveCancelled when
-     * @p cancel fires — the server maps that to `deadline_exceeded`.
+     * Solve the point whose probe(@p key) just missed and cache it,
+     * without probing again: Solver::solve, then insert. Throws
+     * exactly like Solver::solve; a failed solve caches nothing.
      */
-    model::OperatingPoint
-    solveCancellable(const model::WorkloadParams &p,
-                     const model::Platform &plat,
-                     const model::CancelCheck &cancel) const;
+    model::OperatingPoint solveMiss(const model::RequestKey &key,
+                                    const model::WorkloadParams &p,
+                                    const model::Platform &plat) const;
 
     /**
      * Evaluate a batch (see file comment). Outcomes are returned in
      * request order; failures are captured per request, never thrown.
-     *
-     * @p cancels is either empty (no cancellation) or exactly one
-     * cooperative cancellation hook per request, polled by the solver
-     * between bisection iterations. Requests that deduplicate onto one
-     * shared solve share the hook of the request that *introduced* the
-     * solve, so callers coalescing requests with different deadlines
-     * should pass the group's most permissive hook (the server does:
-     * a dedup group is cancelled only when every member's deadline has
-     * expired). A cancelled solve quarantines as a FailureRecord of
-     * type SolveCancelled and caches nothing.
      */
     std::vector<EvalOutcome>
-    evaluateBatch(const std::vector<EvalRequest> &requests,
-                  const std::vector<model::CancelCheck> &cancels = {})
-        const;
+    evaluateBatch(const std::vector<EvalRequest> &requests) const;
 
     /** Cache counters (hits/misses/evictions/collisions/size). */
     CacheStats cacheStats() const { return cache.stats(); }

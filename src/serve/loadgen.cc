@@ -39,9 +39,7 @@ realSleepMs(double delay_ms)
 enum class ReplyClass
 {
     Ok,
-    Degraded,
     Overloaded,
-    QuotaExceeded,
     DeadlineExceeded,
     OtherError,
 };
@@ -52,20 +50,13 @@ classifyReply(const std::string &line)
     try {
         JsonValue v = parseJson(line);
         if (v.has("ok") && v.at("ok").kind == JsonValue::Kind::Bool &&
-            v.at("ok").boolean) {
-            const bool degraded =
-                v.has("degraded") &&
-                v.at("degraded").kind == JsonValue::Kind::Bool &&
-                v.at("degraded").boolean;
-            return degraded ? ReplyClass::Degraded : ReplyClass::Ok;
-        }
+            v.at("ok").boolean)
+            return ReplyClass::Ok;
         if (v.has("error") && v.at("error").has("type")) {
             const std::string &type =
                 v.at("error").at("type").asString("error.type");
             if (type == "overloaded")
                 return ReplyClass::Overloaded;
-            if (type == "quota_exceeded")
-                return ReplyClass::QuotaExceeded;
             if (type == "deadline_exceeded")
                 return ReplyClass::DeadlineExceeded;
         }
@@ -79,11 +70,8 @@ classifyReply(const std::string &line)
 /** Shared mutable state of one run. */
 struct RunState
 {
-    /** Shared work-stealing cursor. Under a hot-client skew it starts
-     *  at hotCount (the cold range); otherwise at 0 (the whole run). */
+    /** Shared work-stealing cursor over the whole run. */
     std::atomic<std::uint64_t> nextIndex{0};
-    /** Connection 0's private cursor over [0, hotCount) under skew. */
-    std::atomic<std::uint64_t> hotNext{0};
     std::mutex mu;
     LoadReport report;
     std::vector<double> latenciesMs;
@@ -106,8 +94,6 @@ LoadgenOptions::validate() const
     requireConfig(deadlineMs >= 0.0, "loadgen deadline_ms must be >= 0");
     requireConfig(targetRatePerSec >= 0.0,
                   "loadgen rate must be >= 0");
-    requireConfig(hotClientFraction >= 0.0 && hotClientFraction <= 1.0,
-                  "loadgen hot-client fraction must be in [0, 1]");
     requireConfig(recvTimeoutMs >= 1,
                   "loadgen recv timeout must be >= 1 ms");
     reconnect.validate();
@@ -117,15 +103,12 @@ std::string
 LoadReport::describe() const
 {
     return strformat(
-        "%llu sent: %llu ok, %llu degraded, %llu overloaded, %llu "
-        "quota, %llu deadline, %llu other-err, %llu transport-err; "
-        "%llu reconnects; p50 %.3f ms, p99 %.3f ms (%llu samples), "
-        "shed rate %.3f",
+        "%llu sent: %llu ok, %llu overloaded, %llu deadline, %llu "
+        "other-err, %llu transport-err; %llu reconnects; p50 %.3f ms, "
+        "p99 %.3f ms (%llu samples), shed rate %.3f",
         static_cast<unsigned long long>(sent),
         static_cast<unsigned long long>(ok),
-        static_cast<unsigned long long>(degraded),
         static_cast<unsigned long long>(overloaded),
-        static_cast<unsigned long long>(quotaExceeded),
         static_cast<unsigned long long>(deadlineExceeded),
         static_cast<unsigned long long>(otherErrors),
         static_cast<unsigned long long>(transportErrors),
@@ -141,15 +124,12 @@ LoadReport::toJson() const
                "\":" + std::to_string(static_cast<unsigned long long>(v));
     };
     return "{" + field("sent", sent) + "," + field("ok", ok) + "," +
-           field("degraded", degraded) + "," +
            field("overloaded", overloaded) + "," +
-           field("quota_exceeded", quotaExceeded) + "," +
            field("deadline_exceeded", deadlineExceeded) + "," +
            field("other_errors", otherErrors) + "," +
            field("transport_errors", transportErrors) + "," +
            field("reconnects", reconnects) + "," +
            field("dial_failures", dialFailures) + "," +
-           field("hot_client_sent", hotClientSent) + "," +
            field("latency_samples", latencySamples) + ",\"p50_ms\":" +
            jsonNumber(p50Ms) + ",\"p99_ms\":" + jsonNumber(p99Ms) +
            ",\"shed_rate\":" + jsonNumber(shedRate()) + "}";
@@ -189,15 +169,8 @@ runLoadgen(const Dialer &dial, const LoadgenOptions &opts)
     RunState state;
     state.startMs = now();
     state.latenciesMs.reserve(opts.totalRequests);
-    // Hot-client skew: connection 0 owns the first hotCount indices;
-    // the shared cursor starts past them (see RunState).
-    const std::uint64_t hotCount = static_cast<std::uint64_t>(
-        opts.hotClientFraction *
-        static_cast<double>(opts.totalRequests));
-    state.nextIndex.store(hotCount);
 
     auto connectionLoop = [&](int conn_id) {
-        const bool is_hot = hotCount > 0 && conn_id == 0;
         std::unique_ptr<LineStream> stream;
         // Dial (and re-dial) under the bounded backoff policy; stream
         // = per-connection id keeps the jitter schedules decorrelated.
@@ -231,10 +204,8 @@ runLoadgen(const Dialer &dial, const LoadgenOptions &opts)
 
         std::string reply;
         for (;;) {
-            const std::uint64_t index = is_hot
-                                            ? state.hotNext.fetch_add(1)
-                                            : state.nextIndex.fetch_add(1);
-            if (is_hot ? index >= hotCount : index >= opts.totalRequests)
+            const std::uint64_t index = state.nextIndex.fetch_add(1);
+            if (index >= opts.totalRequests)
                 return;
             // Open-loop pacing: send k at startMs + k/rate, globally.
             if (opts.targetRatePerSec > 0.0) {
@@ -269,8 +240,6 @@ runLoadgen(const Dialer &dial, const LoadgenOptions &opts)
             {
                 std::lock_guard<std::mutex> lock(state.mu);
                 ++state.report.sent;
-                if (is_hot)
-                    ++state.report.hotClientSent;
                 if (replied) {
                     // memsense-lint: allow(no-hot-loop-alloc):
                     // reserved to totalRequests before the run
@@ -279,14 +248,8 @@ runLoadgen(const Dialer &dial, const LoadgenOptions &opts)
                       case ReplyClass::Ok:
                         ++state.report.ok;
                         break;
-                      case ReplyClass::Degraded:
-                        ++state.report.degraded;
-                        break;
                       case ReplyClass::Overloaded:
                         ++state.report.overloaded;
-                        break;
-                      case ReplyClass::QuotaExceeded:
-                        ++state.report.quotaExceeded;
                         break;
                       case ReplyClass::DeadlineExceeded:
                         ++state.report.deadlineExceeded;

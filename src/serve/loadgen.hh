@@ -3,9 +3,9 @@
  * Load generator for the evaluation server.
  *
  * Replays a set of fixture request lines against a server over N
- * concurrent connections, classifies every reply (ok / degraded /
- * overloaded / deadline_exceeded / other error / transport failure),
- * and reports latency percentiles and the shed rate. This is both the
+ * concurrent connections, classifies every reply (ok / overloaded /
+ * deadline_exceeded / other error / transport failure), and reports
+ * latency percentiles and the shed rate. This is both the
  * memsense_loadgen CLI's engine and the traffic source of the chaos
  * and soak suites, so it has the same testability seams as the server:
  * the connection factory (Dialer), the clock, and the backoff sleeper
@@ -50,12 +50,6 @@ struct LoadgenOptions
     std::vector<std::string> fixtures;
     double deadlineMs = 0.0;   ///< per-request deadline to inject; 0 = none
     double targetRatePerSec = 0.0; ///< open-loop pacing; 0 = closed loop
-    /** Fraction of totalRequests driven by connection 0 — "the hot
-     *  client". 0 = uniform work stealing across connections. With a
-     *  skew, connection 0 replays indices [0, hot) while the others
-     *  share [hot, total): a deterministic noisy-neighbor mix for
-     *  exercising per-client quotas. */
-    double hotClientFraction = 0.0;
     int recvTimeoutMs = 5000;  ///< reply wait budget per request
     RetryPolicy reconnect;     ///< bounded backoff for redials
     std::function<double()> nowMs;      ///< injectable clock
@@ -66,21 +60,18 @@ struct LoadgenOptions
 };
 
 /** Outcome of one run. Every sent request lands in exactly one
- *  classification bucket: sent == ok + degraded + overloaded +
- *  deadlineExceeded + otherErrors + transportErrors. */
+ *  classification bucket: sent == ok + overloaded + deadlineExceeded +
+ *  otherErrors + transportErrors. */
 struct LoadReport
 {
     std::uint64_t sent = 0;
-    std::uint64_t ok = 0;         ///< full-fidelity `"ok":true`
-    std::uint64_t degraded = 0;   ///< `"ok":true` with `"degraded":true`
+    std::uint64_t ok = 0;         ///< `"ok":true`
     std::uint64_t overloaded = 0;
-    std::uint64_t quotaExceeded = 0;   ///< per-client quota sheds
     std::uint64_t deadlineExceeded = 0;
     std::uint64_t otherErrors = 0;     ///< any other `"ok":false`
     std::uint64_t transportErrors = 0; ///< no reply (drop/timeout)
     std::uint64_t reconnects = 0;      ///< successful redials
     std::uint64_t dialFailures = 0;    ///< failed dial attempts
-    std::uint64_t hotClientSent = 0;   ///< sent by conn 0 under skew
     /** Replied requests contributing to the percentiles below; 0 means
      *  p50/p99 are the 0.0 placeholder, not a measured latency. */
     std::uint64_t latencySamples = 0;
@@ -90,17 +81,16 @@ struct LoadReport
     /** Requests classified (the ledger right-hand side). */
     std::uint64_t classified() const
     {
-        return ok + degraded + overloaded + quotaExceeded +
-               deadlineExceeded + otherErrors + transportErrors;
+        return ok + overloaded + deadlineExceeded + otherErrors +
+               transportErrors;
     }
 
-    /** Fraction of sent requests shed or degraded by the server. */
+    /** Fraction of sent requests shed by the server. */
     double shedRate() const
     {
-        return sent == 0
-                   ? 0.0
-                   : static_cast<double>(overloaded + degraded) /
-                         static_cast<double>(sent);
+        return sent == 0 ? 0.0
+                         : static_cast<double>(overloaded) /
+                               static_cast<double>(sent);
     }
 
     /** One human-readable summary line. */

@@ -374,8 +374,6 @@ appendResultLine(std::string &out, const EvalOutcome &outcome)
     out += "\",";
     if (outcome.result.ok()) {
         const model::OperatingPoint &op = *outcome.result.value;
-        if (outcome.degraded)
-            out += "\"degraded\":true,";
         out += "\"ok\":true,\"op\":{\"cpi_eff\":";
         appendJsonNumber(out, op.cpiEff);
         out += ",\"miss_penalty_ns\":";

@@ -48,13 +48,13 @@ struct EvalRequest
     std::string id;                ///< echoed into the result line
     model::WorkloadParams workload;
     model::Platform platform;
-    /** Optional per-request deadline budget from the moment the server
-     *  admits the line ("deadline_ms" field); 0 = none. The batch
-     *  service ignores it — deadlines are a serving concern. */
+    /** Optional per-request deadline budget from the start of the
+     *  server's reader pass that reads the line ("deadline_ms" field);
+     *  0 = none. The batch service ignores it — deadlines are a
+     *  serving concern. */
     double deadlineMs = 0.0;
-    /** Request opts out of degraded coarse-fingerprint answers under
-     *  overload even when the server allows them ("allow_stale":
-     *  false); default is to accept whatever the server offers. */
+    /** The "allow_stale" field, type-checked and kept as parsed. No
+     *  path reads it: the server answers every line in full. */
     bool allowStale = true;
 };
 
@@ -66,10 +66,6 @@ struct EvalOutcome
     /** Served from cache (diagnostic only — never serialized, so the
      *  result stream stays identical between cold and warm runs). */
     bool cacheHit = false;
-    /** Answered from the coarse-fingerprint stale cache under
-     *  overload. Serialized as `"degraded":true` only when set, so
-     *  the batch path's result lines are byte-identical to before. */
-    bool degraded = false;
 };
 
 /**
@@ -104,10 +100,10 @@ std::string parseErrorLine(std::size_t line_number,
 
 /**
  * One typed error reply for the serving path: `{"id":..., "ok":false,
- * "error":{"type":<type>,...}}`. The server's admission/deadline
- * machinery replies with types `overloaded`, `deadline_exceeded`, and
- * `internal` (docs/serving.md); @p fatal says whether a retry of the
- * same request could succeed (false for overload/deadline).
+ * "error":{"type":<type>,...}}` with `"attempts":0`. The server replies
+ * with types `overloaded` (connection limit), `deadline_exceeded` and
+ * `internal` (a failed cache probe) this way (docs/serving.md);
+ * @p fatal says whether a retry of the same request could succeed.
  */
 std::string errorReplyLine(const std::string &id, const std::string &type,
                            const std::string &message, bool fatal);

@@ -11,10 +11,9 @@
  *    readLine() would return without waiting, which is when the server
  *    ends a burst of requests and flushes its replies. write() takes
  *    framed bytes — one or more newline-terminated reply lines — and
- *    is thread-safe, because worker threads and the reader thread both
- *    reply on the same stream. Oversized lines surface as
- *    Read::TooLong instead of unbounded buffering — a hostile peer
- *    cannot make the server allocate without limit.
+ *    is thread-safe: concurrent writes never interleave. Oversized
+ *    lines surface as Read::TooLong instead of unbounded buffering — a
+ *    hostile peer cannot make the server allocate without limit.
  *
  *  - Transport: one listening endpoint producing LineStreams. accept()
  *    also takes a timeout; shutdownTransport() wakes any blocked
@@ -134,7 +133,7 @@ std::unique_ptr<LineStream> makeStdioStream(const StreamLimits &limits);
 /**
  * One-shot transport over stdin/stdout: the first accept() yields the
  * stdio stream, later ones are Idle until shutdown. Lets the daemon
- * serve a pipe with the same admission/deadline machinery as sockets.
+ * serve a pipe with the same answer path and deadlines as sockets.
  */
 std::unique_ptr<Transport> makeStdioTransport(const StreamLimits &limits);
 

@@ -116,16 +116,10 @@ TEST(AllocationGuard, OkReplySerializesInOneAllocation)
     outcome.result.value.emplace(solver.solve(
         model::paper::classParams(model::WorkloadClass::BigData),
         model::Platform::paperBaseline()));
-    for (bool degraded : {false, true}) {
-        outcome.degraded = degraded;
-        std::string line;
-        EXPECT_LE(allocationsOf([&] { line = serve::resultLine(outcome); }),
-                  1u)
-            << "degraded=" << degraded;
-        EXPECT_EQ(line.rfind("{\"id\":\"sweep-000123-latency_ns-0045\"", 0),
-                  0u)
-            << line;
-    }
+    std::string line;
+    EXPECT_LE(allocationsOf([&] { line = serve::resultLine(outcome); }), 1u);
+    EXPECT_EQ(line.rfind("{\"id\":\"sweep-000123-latency_ns-0045\"", 0), 0u)
+        << line;
 }
 
 /** A sweep point as clients send it: a class preset and six platform

@@ -157,7 +157,6 @@ TEST(LoadgenRun, ClassifiesEveryReplyShape)
 {
     ScriptedServer fake({
         "{\"id\":\"a\",\"ok\":true,\"op\":{}}",
-        "{\"id\":\"b\",\"degraded\":true,\"ok\":true,\"op\":{}}",
         "{\"id\":\"c\",\"ok\":false,\"error\":{\"type\":\"overloaded\","
         "\"message\":\"m\",\"fatal\":false,\"attempts\":0}}",
         "{\"id\":\"d\",\"ok\":false,\"error\":{\"type\":"
@@ -169,17 +168,16 @@ TEST(LoadgenRun, ClassifiesEveryReplyShape)
     });
     LoadgenOptions opts;
     opts.connections = 1; // keep the canned order aligned
-    opts.totalRequests = 6;
+    opts.totalRequests = 5;
     opts.fixtures = {"{\"workload\":{}}"};
     const LoadReport report = runLoadgen(fake.dialer(), opts);
-    EXPECT_EQ(report.sent, 6u);
+    EXPECT_EQ(report.sent, 5u);
     EXPECT_EQ(report.ok, 1u);
-    EXPECT_EQ(report.degraded, 1u);
     EXPECT_EQ(report.overloaded, 1u);
     EXPECT_EQ(report.deadlineExceeded, 1u);
     EXPECT_EQ(report.otherErrors, 2u); // ConfigError + unparseable
     EXPECT_EQ(report.classified(), report.sent);
-    EXPECT_DOUBLE_EQ(report.shedRate(), 2.0 / 6.0);
+    EXPECT_DOUBLE_EQ(report.shedRate(), 1.0 / 5.0);
 }
 
 TEST(LoadgenRun, ReconnectsUnderBoundedBackoff)
@@ -347,53 +345,6 @@ TEST(LoadgenRun, ReplylessRunReportsZeroLatencySamples)
     const std::string json = report.toJson();
     EXPECT_NE(json.find("\"latency_samples\":0"), std::string::npos)
         << json;
-}
-
-TEST(LoadgenRun, QuotaExceededRepliesGetTheirOwnBucket)
-{
-    ScriptedServer fake({
-        "{\"id\":\"a\",\"ok\":true,\"op\":{}}",
-        "{\"id\":\"b\",\"ok\":false,\"error\":{\"type\":"
-        "\"quota_exceeded\",\"message\":\"client c#1 over quota\","
-        "\"fatal\":false,\"attempts\":0}}",
-    });
-    LoadgenOptions opts;
-    opts.connections = 1;
-    opts.totalRequests = 4;
-    opts.fixtures = {"{\"workload\":{}}"};
-    const LoadReport report = runLoadgen(fake.dialer(), opts);
-    EXPECT_EQ(report.sent, 4u);
-    EXPECT_EQ(report.ok, 2u);
-    EXPECT_EQ(report.quotaExceeded, 2u);
-    EXPECT_EQ(report.otherErrors, 0u);
-    EXPECT_EQ(report.classified(), report.sent);
-    EXPECT_EQ(report.latencySamples, 4u);
-    const std::string json = report.toJson();
-    EXPECT_NE(json.find("\"quota_exceeded\":2"), std::string::npos)
-        << json;
-}
-
-TEST(LoadgenRun, HotClientSkewPartitionsRequestsDeterministically)
-{
-    LoopbackServer lb;
-    LoadgenOptions opts;
-    opts.connections = 3;
-    opts.totalRequests = 30;
-    opts.hotClientFraction = 0.5;
-    opts.fixtures = {"{\"workload\":{\"mpki\":17}}",
-                     "{\"workload\":{\"mpki\":18}}"};
-    const LoadReport report = runLoadgen(lb.dialer(), opts);
-    // Connection 0 owns exactly the hot half of the index space; the
-    // other two connections share the rest. Nothing is sent twice and
-    // nothing is dropped.
-    EXPECT_EQ(report.sent, 30u);
-    EXPECT_EQ(report.hotClientSent, 15u);
-    EXPECT_EQ(report.ok, 30u);
-    EXPECT_EQ(report.classified(), report.sent);
-    lb.server->stop();
-    const ServerStats stats = lb.server->stats();
-    EXPECT_EQ(stats.accepted, 30u);
-    EXPECT_TRUE(stats.consistent());
 }
 
 } // anonymous namespace

@@ -72,10 +72,6 @@ main(int argc, char **argv)
     cli.addDouble("rate", 0.0,
                   "target aggregate request rate per second "
                   "(0 = closed loop)");
-    cli.addDouble("clients-skewed", 0.0,
-                  "fraction of --total driven by one hot client "
-                  "connection (0 = uniform; exercises per-client "
-                  "quotas)");
     cli.addInt("recv-timeout-ms", 5000, "per-reply wait budget");
     cli.addInt("reconnect-attempts", 5,
                "dial attempts per reconnect sequence");
@@ -93,7 +89,6 @@ main(int argc, char **argv)
             static_cast<std::uint64_t>(cli.getInt("total"));
         opts.deadlineMs = cli.getDouble("deadline-ms");
         opts.targetRatePerSec = cli.getDouble("rate");
-        opts.hotClientFraction = cli.getDouble("clients-skewed");
         opts.recvTimeoutMs = cli.getInt("recv-timeout-ms");
         opts.reconnect.maxAttempts = cli.getInt("reconnect-attempts");
 

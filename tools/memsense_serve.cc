@@ -4,22 +4,22 @@
  *
  * Serves the JSON-lines request schema of memsense_eval over TCP,
  * Unix-domain sockets, and/or stdin/stdout, through the memoizing
- * serve::Evaluator, with admission control, per-request deadlines,
- * graceful degradation, and drain-on-signal (see docs/serving.md):
+ * serve::Evaluator. Each connection's reader thread answers its lines
+ * in order, with per-request deadlines, a connection cap, and
+ * drain-on-signal (see docs/serving.md):
  *
  *     memsense_serve --tcp-port 8321
- *     memsense_serve --unix /tmp/memsense.sock --workers 4
+ *     memsense_serve --unix /tmp/memsense.sock --stats
  *     memsense_serve --stdio < requests.jsonl
  *
- * SIGINT/SIGTERM stop accepting, drain the queue (bounded by
- * --drain-deadline-ms), answer everything still owed a reply, flush
- * --metrics/--stats-json artifacts, and exit 0. Exit 1 means the
- * configuration was unusable (bad flags, bind failure).
+ * SIGINT/SIGTERM stop accepting and reading, answer every line already
+ * read, flush --metrics/--stats-json artifacts, and exit 0. Exit 1
+ * means the configuration was unusable (bad flags, bind failure).
  *
  * With --stdio and no socket transports the server also exits once the
  * pipe is consumed and every reply is written, so it composes in shell
- * pipelines like the batch tool but with the serving semantics
- * (deadlines, shedding) active.
+ * pipelines like the batch tool, with the same reply bytes in the same
+ * order, and with the serving semantics (deadlines) active.
  */
 
 #include <atomic>
@@ -71,39 +71,18 @@ main(int argc, char **argv)
 {
     CliParser cli("memsense_serve",
                   "serve JSON-lines solve requests over TCP, Unix "
-                  "sockets, or stdio with admission control and "
-                  "deadlines");
+                  "sockets, or stdio with deadlines");
     cli.addInt("tcp-port", -1,
                "listen on this TCP port (0 = ephemeral; the resolved "
                "port is printed to stderr)");
     cli.addString("tcp-host", "127.0.0.1", "TCP bind address");
     cli.addString("unix", "", "listen on this Unix-domain socket path");
     cli.addBool("stdio", "serve one connection over stdin/stdout");
-    cli.addInt("workers", 2, "solver worker threads");
-    cli.addInt("max-queue", 256, "admission queue depth cap");
-    cli.addInt("max-inflight-kb", 4096,
-               "admission cap on queued request bytes (KiB)");
-    cli.addInt("max-batch", 16,
-               "requests one worker pass coalesces into a single "
-               "evaluator batch (1 = no batching)");
-    cli.addDouble("batch-linger-ms", 0.0,
-                  "wait this long for a partial batch to fill before "
-                  "dispatching (0 = dispatch immediately)");
-    cli.addInt("max-queue-per-client", 0,
-               "per-client queued-request quota; over-quota requests "
-               "get quota_exceeded (0 = no quota)");
-    cli.addInt("max-inflight-kb-per-client", 0,
-               "per-client queued-bytes quota in KiB (0 = no quota)");
     cli.addInt("max-line-kb", 64, "per-request line size cap (KiB)");
     cli.addInt("max-connections", 64, "concurrent connection cap");
     cli.addDouble("default-deadline-ms", 0.0,
                   "deadline applied to requests that carry none "
                   "(0 = none)");
-    cli.addDouble("drain-deadline-ms", 2000.0,
-                  "queue drain budget after SIGINT/SIGTERM");
-    cli.addBool("allow-stale",
-                "answer shed requests from the coarse stale cache, "
-                "flagged degraded (requests can opt out)");
     cli.addInt("cache-capacity", 1 << 16, "LRU cache entries");
     cli.addInt("cache-shards", 8, "cache shards (rounded to 2^k)");
     cli.addString("metrics", "",
@@ -121,44 +100,17 @@ main(int argc, char **argv)
         fault::configureFromEnv();
 
         serve::ServerOptions opts;
-        opts.workers = cli.getInt("workers");
         opts.maxConnections = cli.getInt("max-connections");
-        requireConfig(cli.getInt("max-queue") >= 1,
-                      "--max-queue must be >= 1");
-        opts.maxQueueDepth =
-            static_cast<std::size_t>(cli.getInt("max-queue"));
-        requireConfig(cli.getInt("max-inflight-kb") >= 1,
-                      "--max-inflight-kb must be >= 1");
-        opts.maxInflightBytes =
-            static_cast<std::size_t>(cli.getInt("max-inflight-kb")) *
-            1024u;
         requireConfig(cli.getInt("max-line-kb") >= 1,
                       "--max-line-kb must be >= 1");
         opts.maxLineBytes =
             static_cast<std::size_t>(cli.getInt("max-line-kb")) * 1024u;
-        requireConfig(cli.getInt("max-batch") >= 1,
-                      "--max-batch must be >= 1");
-        opts.maxBatch =
-            static_cast<std::size_t>(cli.getInt("max-batch"));
-        opts.batchLingerMs = cli.getDouble("batch-linger-ms");
-        requireConfig(cli.getInt("max-queue-per-client") >= 0,
-                      "--max-queue-per-client must be >= 0");
-        opts.maxQueuePerClient = static_cast<std::size_t>(
-            cli.getInt("max-queue-per-client"));
-        requireConfig(cli.getInt("max-inflight-kb-per-client") >= 0,
-                      "--max-inflight-kb-per-client must be >= 0");
-        opts.maxInflightBytesPerClient =
-            static_cast<std::size_t>(
-                cli.getInt("max-inflight-kb-per-client")) *
-            1024u;
         opts.defaultDeadlineMs = cli.getDouble("default-deadline-ms");
-        opts.drainDeadlineMs = cli.getDouble("drain-deadline-ms");
-        opts.allowStale = cli.getBool("allow-stale");
         requireConfig(cli.getInt("cache-capacity") >= 1,
                       "--cache-capacity must be >= 1");
-        opts.eval.cache.capacity =
+        opts.cache.capacity =
             static_cast<std::size_t>(cli.getInt("cache-capacity"));
-        opts.eval.cache.shards = cli.getInt("cache-shards");
+        opts.cache.shards = cli.getInt("cache-shards");
 
         const bool want_metrics = !cli.getString("metrics").empty();
         if (want_metrics)
