@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <future>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "measure/loaded_latency.hh"
@@ -23,6 +24,7 @@
 #include "serve/evaluator.hh"
 #include "serve/request.hh"
 #include "sim/machine.hh"
+#include "stats/curve.hh"
 #include "stats/regression.hh"
 #include "util/log.hh"
 #include "workloads/factory.hh"
@@ -102,6 +104,80 @@ BM_SolverSolve(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SolverSolve)->Apply(applyRepetitions);
+
+/**
+ * Solve inputs shaped like membench's serve traffic: each class preset
+ * on the baseline platform with latency stepped 16 times (50 ns up, by
+ * 2.5 ns) against 1 to 8 channels. Walking 384 distinct fixed points
+ * keeps the host from learning one bisection's decision pattern.
+ */
+std::vector<std::pair<model::WorkloadParams, model::Platform>>
+sweepGridPoints()
+{
+    std::vector<std::pair<model::WorkloadParams, model::Platform>> points;
+    for (const model::WorkloadParams &p : model::paper::classParams()) {
+        for (int i = 0; i < 16; ++i) {
+            for (int ch = 1; ch <= 8; ++ch) {
+                model::Platform plat = model::Platform::paperBaseline();
+                plat.memory.compulsoryNs = 50.0 + 2.5 * i;
+                plat.memory.channels = ch;
+                points.emplace_back(p, plat);
+            }
+        }
+    }
+    return points;
+}
+
+void
+solveGrid(benchmark::State &state, const model::Solver &solver)
+{
+    const auto points = sweepGridPoints();
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const auto &[p, plat] = points[i++ % points.size()];
+        benchmark::DoNotOptimize(solver.solve(p, plat));
+    }
+}
+
+void
+BM_SolverSolveGrid(benchmark::State &state)
+{
+    solveGrid(state, model::Solver());
+}
+BENCHMARK(BM_SolverSolveGrid)->Apply(applyRepetitions);
+
+/**
+ * The same grid on a measured composite's 24-knot curve: the (util,
+ * queuing_ns) columns of the four Fig. 7 sweeps (tests/golden/
+ * fig07_*.csv), binned and averaged as measureQueuingModel does.
+ */
+void
+BM_SolverSolveMeasuredCurve(benchmark::State &state)
+{
+    const std::vector<std::vector<stats::CurvePoint>> sweeps = {
+        {{0.999753, 361.119}, {0.999981, 359.014}, {1, 334.754},
+         {0.749578, 109.762}, {0.388833, 34.6742}, {0.164241, 1.30692},
+         {0.0597811, 0.15875}, {0.0422983, 0}},
+        {{0.999482, 533.408}, {1, 531.169}, {0.999548, 530.36},
+         {0.744831, 114.771}, {0.386584, 33.4123}, {0.163183, 1.27495},
+         {0.059389, 0.177403}, {0.0420303, 0}},
+        {{1, 239.986}, {0.999375, 235.736}, {0.997349, 213.631},
+         {0.538851, 74.8996}, {0.279274, 30.61}, {0.118149, 1.0228},
+         {0.0432413, 0.167797}, {0.0307215, 0}},
+        {{0.999804, 373.939}, {1, 378.172}, {0.999501, 302.784},
+         {0.53517, 73.5775}, {0.27714, 31.3758}, {0.117295, 0.78348},
+         {0.042887, 0.183095}, {0.0304688, 0}},
+    };
+    std::vector<stats::PiecewiseCurve> curves;
+    for (const auto &samples : sweeps)
+        curves.push_back(stats::PiecewiseCurve::fromSamples(samples, 24)
+                             .monotoneEnvelope());
+    solveGrid(state, model::Solver(model::QueuingModel::fromCurve(
+                         stats::PiecewiseCurve::composite(curves, 24)
+                             .monotoneEnvelope(),
+                         0.95)));
+}
+BENCHMARK(BM_SolverSolveMeasuredCurve)->Apply(applyRepetitions);
 
 /** Cold path through the memoizing evaluator: every solve misses. */
 void

@@ -54,6 +54,8 @@ EquivalenceAnalyzer::withExtraBandwidth(double extra_gbps_total) const
 Platform
 EquivalenceAnalyzer::withReducedLatency(double delta_ns) const
 {
+    MS_REQUIRE(delta_ns >= 0.0, "latency reduction ", delta_ns,
+               " ns must be non-negative");
     Platform plat = base;
     double ns = std::max(1.0, base.memory.compulsoryNs - delta_ns);
     plat.memory = base.memory.withCompulsoryNs(ns);

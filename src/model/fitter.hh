@@ -14,11 +14,13 @@
 #ifndef MEMSENSE_MODEL_FITTER_HH
 #define MEMSENSE_MODEL_FITTER_HH
 
+#include <cmath>
 #include <string>
 #include <vector>
 
 #include "model/params.hh"
 #include "stats/regression.hh"
+#include "util/contract.hh"
 
 namespace memsense::model
 {
@@ -50,6 +52,9 @@ struct FittedModel
     /** Eq. 1 prediction at a given MPI*MP product. */
     double predictCpi(double mpi_times_mp) const
     {
+        MS_REQUIRE(std::isfinite(mpi_times_mp) && mpi_times_mp >= 0.0,
+                   "MPI * MP ", mpi_times_mp,
+                   " must be finite and non-negative");
         return fit.at(mpi_times_mp);
     }
 };

@@ -136,9 +136,11 @@ TieredMemoryModel::capacitySweep(const WorkloadParams &p, double ghz,
                                  int cores,
                                  const std::vector<double> &capacities) const
 {
+    requireConfig(ghz > 0.0, "core frequency must be positive");
     std::vector<TieredResult> out;
     out.reserve(capacities.size());
     for (double cap : capacities) {
+        requireConfig(cap >= 0.0, "near capacity must be >= 0");
         TieredMemoryModel m = *this;
         m.near.capacityGB = cap;
         out.push_back(m.evaluate(p, ghz, cores));

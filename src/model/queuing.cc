@@ -45,6 +45,8 @@ QueuingModel::analyticDefault(double linear_ns, double service_ns,
 QueuingModel
 QueuingModel::fromCurve(stats::PiecewiseCurve curve, double max_stable_util)
 {
+    requireConfig(max_stable_util > 0.0 && max_stable_util < 1.0,
+                  "max stable utilization must be in (0, 1)");
     return QueuingModel(std::move(curve), max_stable_util, true);
 }
 

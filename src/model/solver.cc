@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "model/bandwidth_model.hh"
 #include "model/cpi_model.hh"
@@ -13,16 +14,80 @@
 namespace memsense::model
 {
 
+namespace
+{
+
+/** Bracket width at which the bisection stops. */
+constexpr double kTolerance = 1e-9;
+
+/** Steps that close the bracket [0, cap) for any cap below 1. */
+constexpr int kMaxSteps = 30;
+static_assert(kTolerance * static_cast<double>(1L << kMaxSteps) > 1.0,
+              "kMaxSteps halvings must close a unit bracket");
+
+/**
+ * Half-width of the confirmation around the closed-form root. Hundreds
+ * of times the relative rounding error of one implied-utilization
+ * evaluation, and far below kTolerance.
+ */
+constexpr double kMargin = 1e-12;
+
+/**
+ * Closed-form estimate of the fixed point u * CPI(u) = r, where Eq. 1
+ * on the curve reads CPI(u) = cpi0 + k * delay(u). u * CPI(u) grows
+ * with u, so x * CPI(x) < r (no division) says the root lies above
+ * knot x, and a binary search finds the first knot at or past the
+ * root or @p cap. On the segment that leads to it CPI(u) = a + b * u,
+ * and the root solves b u^2 + a u - r = 0. Returns +inf when that
+ * segment never reaches r. The clamp of the delay at zero is ignored,
+ * so the result is an estimate the caller confirms.
+ */
+double
+segmentRoot(const stats::PiecewiseCurve &curve, double cap, double cpi0,
+            double k, double r)
+{
+    std::size_t lo = 0;
+    std::size_t hi = curve.size();
+    while (lo < hi) {
+        const std::size_t mid = (lo + hi) / 2;
+        const stats::CurvePoint &kn = curve.knot(mid);
+        if (kn.x < cap && kn.x * (cpi0 + k * std::max(0.0, kn.y)) < r)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    // The delay is the first knot's up to it and the last segment's
+    // extension past the last knot, as PiecewiseCurve::at reads it.
+    double intercept = curve.knot(0).y;
+    double slope = 0.0;
+    if (lo > 0 && curve.size() > 1) {
+        const std::size_t right = std::min(lo, curve.size() - 1);
+        const stats::CurvePoint &l = curve.knot(right - 1);
+        const stats::CurvePoint &h = curve.knot(right);
+        slope = (h.y - l.y) / (h.x - l.x);
+        intercept = l.y - slope * l.x;
+    }
+    const double a = cpi0 + k * intercept;
+    const double b = k * slope;
+    const double root = std::sqrt(a * a + 4.0 * b * r);
+    // Each branch avoids cancelling two terms of equal size.
+    if (a > 0.0)
+        return 2.0 * r / (a + root);
+    if (b > 0.0)
+        return (root - a) / (2.0 * b);
+    return std::numeric_limits<double>::infinity();
+}
+
+} // anonymous namespace
+
 Solver::Solver()
     : queuingModel(QueuingModel::analyticDefault())
 {
 }
 
-Solver::Solver(QueuingModel queuing_model, SolverOptions options)
-    : queuingModel(std::move(queuing_model)), opts(options)
+Solver::Solver(QueuingModel queuing_model)
+    : queuingModel(std::move(queuing_model))
 {
-    requireConfig(opts.maxIterations >= 1, "need at least one iteration");
-    requireConfig(opts.tolerance > 0.0, "tolerance must be positive");
 }
 
 OperatingPoint
@@ -75,27 +140,51 @@ Solver::solve(const WorkloadParams &p, const Platform &plat) const
         return bandwidthDemandTotal(p, c, cps, threads) / avail;
     };
 
+    // The bisection's decisions come from the curve segment that holds
+    // the fixed point: its closed-form root u*, once two evaluations at
+    // u* -/+ kMargin confirm it, decides every step whose midpoint lies
+    // more than 2 * kMargin from u*. g is non-increasing in exact
+    // arithmetic and its rounding error is far below kMargin, so each
+    // decided step goes the way evaluating g would, and the bracket,
+    // the step count and the returned point are the full bisection's.
+    // A root at or past the cap is confirmed by g(cap) > cap alone: then
+    // every step moves up. Midpoints in the band are evaluated, and a
+    // failed confirmation (a curve bent by the clamp at zero delay, for
+    // one) leaves every step evaluated.
+    const double k = p.mpi() * p.bf * plat.ghz;
+    const double root = segmentRoot(
+        queuingModel.curve(), max_util,
+        p.cpiCache + k * plat.memory.compulsoryNs, k,
+        p.bytesPerInstruction() * cps * static_cast<double>(threads) /
+            avail);
+    const bool at_cap = root >= max_util;
+    const double below = at_cap ? max_util : root - kMargin;
+    double moves_up_below = -std::numeric_limits<double>::infinity();
+    double moves_down_above = std::numeric_limits<double>::infinity();
+    if (implied_util(below) > below &&
+        (at_cap || implied_util(root + kMargin) <= root + kMargin)) {
+        moves_up_below = below - kMargin;
+        if (!at_cap)
+            moves_down_above = root + 2.0 * kMargin;
+    } else {
+        MS_METRIC_COUNT("solver.root_fallbacks");
+    }
+
     double lo = 0.0;
     double hi = max_util;
     int iter = 0;
-    while (hi - lo > opts.tolerance && iter < opts.maxIterations) {
-        double mid = 0.5 * (lo + hi);
-        if (implied_util(mid) > mid)
-            lo = mid;
-        else
-            hi = mid;
-        ++iter;
+    for (; iter < kMaxSteps && hi - lo > kTolerance; ++iter) {
+        const double mid = 0.5 * (lo + hi);
+        bool up = mid < moves_up_below;
+        if ((mid >= moves_up_below) & (mid <= moves_down_above))
+            up = implied_util(mid) > mid;
+        lo = up ? mid : lo;
+        hi = up ? hi : mid;
     }
-    // Report exhaustion as a structured, retryable error instead of
-    // silently using the widest bracket midpoint: the resilience layer
-    // quarantines the job with the diagnostics attached, and nothing
-    // downstream ever consumes a spuriously "converged" point.
     MS_METRIC_COUNT_N("solver.iterations", iter);
     MS_METRIC_OBSERVE("solver.iterations_per_solve", iter);
-    if (hi - lo > opts.tolerance) {
-        MS_METRIC_COUNT("solver.convergence_failures");
-        throw SolverConvergenceError(iter, hi - lo, opts.tolerance);
-    }
+    MS_INVARIANT(hi - lo <= kTolerance, "bisection bracket ", hi - lo,
+                 " still open after ", iter, " steps");
     const double util = 0.5 * (lo + hi);
     op.iterations = iter;
 
@@ -141,9 +230,6 @@ Solver::solve(const WorkloadParams &p, const Platform &plat) const
 
     MS_ENSURE(op.cpiEff >= p.cpiCache,
               "solved CPI ", op.cpiEff, " below CPI_cache ", p.cpiCache);
-    MS_ENSURE(op.iterations <= opts.maxIterations,
-              "bisection ran ", op.iterations, " iterations, cap ",
-              opts.maxIterations);
     MS_ENSURE(op.missPenaltyNs >= plat.memory.compulsoryNs,
               "miss penalty ", op.missPenaltyNs,
               " ns below compulsory latency ", plat.memory.compulsoryNs);

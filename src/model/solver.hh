@@ -19,50 +19,13 @@
 #ifndef MEMSENSE_MODEL_SOLVER_HH
 #define MEMSENSE_MODEL_SOLVER_HH
 
-#include <string>
-
 #include "model/params.hh"
 #include "model/platform.hh"
 #include "model/queuing.hh"
-#include "util/error.hh"
+#include "util/contract.hh"
 
 namespace memsense::model
 {
-
-/**
- * Raised when the fixed-point iteration exhausts its budget before the
- * bracket narrows to tolerance.
- *
- * This is a *retryable* error (TransientError): the sweep layer's
- * quarantine/retry machinery handles it like any other transient job
- * failure, and the carried diagnostics (iterations spent, residual
- * bracket width, configured tolerance) tell the operator whether to
- * raise the iteration cap or loosen the tolerance.
- */
-class SolverConvergenceError : public TransientError
-{
-  public:
-    SolverConvergenceError(int iterations_used, double residual_width,
-                           double tolerance_cfg)
-        : TransientError(
-              "fixed-point solver failed to converge: " +
-              std::to_string(iterations_used) +
-              " iterations left residual " +
-              std::to_string(residual_width) + " above tolerance " +
-              std::to_string(tolerance_cfg)),
-          iterations(iterations_used), residual(residual_width),
-          tolerance(tolerance_cfg)
-    {}
-
-    const char *kind() const override
-    {
-        return "SolverConvergenceError";
-    }
-
-    int iterations;   ///< iterations spent before giving up
-    double residual;  ///< bracket width at the iteration cap
-    double tolerance; ///< the tolerance that was not reached
-};
 
 /** Converged operating point of a workload on a platform. */
 struct OperatingPoint
@@ -77,14 +40,12 @@ struct OperatingPoint
     int iterations = 0;         ///< fixed-point iterations used
 
     /** Instruction throughput per core, instructions/second. */
-    double ipsPerCore(double cps) const { return cps / cpiEff; }
-};
-
-/** Tuning knobs for the fixed-point iteration. */
-struct SolverOptions
-{
-    int maxIterations = 200;   ///< iteration cap before declaring failure
-    double tolerance = 1e-9;   ///< |delta CPI| convergence threshold
+    double ipsPerCore(double cps) const
+    {
+        MS_REQUIRE(cps > 0.0 && cpiEff > 0.0, "throughput needs a positive "
+                   "core speed and CPI, got ", cps, " and ", cpiEff);
+        return cps / cpiEff;
+    }
 };
 
 /**
@@ -120,7 +81,7 @@ class Solver : public SolveEngine
     Solver();
 
     /** Use a caller-supplied (typically measured) queuing model. */
-    explicit Solver(QueuingModel queuing, SolverOptions opts = {});
+    explicit Solver(QueuingModel queuing);
 
     /** Solve for the stable operating point. */
     OperatingPoint solve(const WorkloadParams &p,
@@ -136,12 +97,8 @@ class Solver : public SolveEngine
     /** The queuing model in use. */
     const QueuingModel &queuing() const { return queuingModel; }
 
-    /** The fixed-point tuning knobs in use (for fingerprinting). */
-    const SolverOptions &options() const { return opts; }
-
   private:
     QueuingModel queuingModel;
-    SolverOptions opts;
 };
 
 } // namespace memsense::model

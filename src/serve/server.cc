@@ -180,17 +180,27 @@ Server::stop()
     // Readers poll stopFlag between lines (pollMs granularity) and end
     // with the pass they are in, so each exits within one poll tick
     // plus at most kMaxPassLines answers; joining here is bounded.
-    for (;;) {
-        std::thread reader;
-        {
-            std::lock_guard<std::mutex> lock(readerMu);
-            if (readerThreads.empty())
-                break;
-            reader = std::move(readerThreads.back());
-            readerThreads.pop_back();
+    // The accept loops have returned, so no reader is added or reaped
+    // past this point.
+    std::lock_guard<std::mutex> lock(readerMu);
+    for (Reader &reader : readers)
+        reader.thread.join();
+    readers.clear();
+}
+
+void
+Server::reapReaders()
+{
+    std::lock_guard<std::mutex> lock(readerMu);
+    for (auto it = readers.begin(); it != readers.end();) {
+        if (it->done.load(std::memory_order_acquire)) {
+            // Past `done` the thread only returns; this join waits for
+            // nothing else.
+            it->thread.join();
+            it = readers.erase(it);
+        } else {
+            ++it;
         }
-        if (reader.joinable())
-            reader.join();
     }
 }
 
@@ -211,6 +221,7 @@ void
 Server::acceptLoop(Transport *transport)
 {
     while (!stopFlag.load(std::memory_order_acquire)) {
+        reapReaders();
         std::unique_ptr<LineStream> stream;
         const Transport::Accept a =
             transport->accept(stream, options.pollMs);
@@ -258,9 +269,11 @@ Server::acceptLoop(Transport *transport)
         // memsense-lint: allow(no-hot-loop-alloc): one thread per
         // accepted connection — connection churn, not the per-request
         // hot path
-        readerThreads.emplace_back(
-            [this, owned = std::move(stream), client] {
+        Reader &reader = readers.emplace_back();
+        reader.thread = std::thread(
+            [this, &reader, owned = std::move(stream), client] {
                 readLoop(*owned, *client);
+                reader.done.store(true, std::memory_order_release);
             });
     }
 }

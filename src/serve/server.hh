@@ -19,11 +19,11 @@
  *     answers every line in the pass that read it: decode, build the
  *     request key, probe the cache once, and on a miss check the
  *     deadline and solve-and-insert through the evaluator. A solve is
- *     one closed-form fixed point of about a microsecond, cheaper than
- *     handing it to another thread, so no queue, worker pool or batch
- *     stands between a line and its answer. Replies on one connection
- *     therefore come back in line order, hits, misses and errors
- *     alike, and a failed solve is rendered the way memsense_eval
+ *     one closed-form fixed point of well under a microsecond, cheaper
+ *     than handing it to another thread, so no queue, worker pool or
+ *     batch stands between a line and its answer. Replies on one
+ *     connection therefore come back in line order, hits, misses and
+ *     errors alike, and a failed solve is rendered the way memsense_eval
  *     renders it. Overload control is per connection: a reader busy
  *     with slow solves reads no further lines, so its client's writes
  *     back up in the socket (backpressure) while other connections'
@@ -49,6 +49,9 @@
  *  5. Drain, don't drop, on shutdown. requestStop() stops accepting
  *     and reading; each reader answers the lines it has already read,
  *     flushes, and exits — still exactly one reply per accepted line.
+ *     Before that, the accept loop joins each reader whose connection
+ *     has ended every time it wakes, so a closed connection does not
+ *     keep its thread's stack until shutdown.
  *
  * Fault sites (MS_FAULT_POINT): server.accept, server.read,
  * server.parse, server.solve (before the evaluator's solve of a miss),
@@ -65,6 +68,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -250,10 +254,22 @@ class Server
     ServerOptions options;
     Evaluator eval;
 
+    /** One connection's reader thread; `done` is set as it returns. */
+    struct Reader
+    {
+        std::thread thread;
+        std::atomic<bool> done{false};
+    };
+
+    /** Join the readers whose readLoop has returned. */
+    void reapReaders();
+
     std::vector<std::unique_ptr<Transport>> transports;
     std::vector<std::thread> acceptThreads;
     std::mutex readerMu;
-    std::vector<std::thread> readerThreads;
+    /** Readers not yet joined: the live connections' and those that
+     *  ended since their accept loop last woke. */
+    std::list<Reader> readers;
 
     std::atomic<bool> stopFlag{false};
     std::atomic<bool> started{false};

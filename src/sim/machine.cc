@@ -29,6 +29,7 @@ MachineSnapshot::operator-(const MachineSnapshot &earlier) const
 double
 MachineSnapshot::cpi(double ghz) const
 {
+    MS_REQUIRE(ghz > 0.0, "core frequency ", ghz, " GHz must be positive");
     if (instructions == 0)
         return 0.0;
     double cycles = picosToNs(busyTime) * ghz;

@@ -23,6 +23,7 @@
 #include "sim/io.hh"
 #include "sim/memctrl.hh"
 #include "util/arena.hh"
+#include "util/contract.hh"
 
 namespace memsense::sim
 {
@@ -57,6 +58,8 @@ struct MachineSnapshot
     /** Average miss penalty in core cycles at @p ghz. */
     double avgMissPenaltyCycles(double ghz) const
     {
+        MS_REQUIRE(ghz > 0.0, "core frequency ", ghz,
+                   " GHz must be positive");
         return avgMissPenaltyNs() * ghz;
     }
 

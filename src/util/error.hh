@@ -55,7 +55,7 @@ class TransientError : public std::runtime_error
     {}
 
     /** Stable subclass tag for failure manifests ("TransientError",
-     *  "SolverConvergenceError", "FaultInjected", ...). */
+     *  "FaultInjected", ...). */
     virtual const char *kind() const { return "TransientError"; }
 };
 

@@ -2,10 +2,10 @@
  * @file
  * Deterministic retry policy for fault-tolerant sweeps.
  *
- * A sweep job that throws a TransientError (a non-converged solver, an
- * I/O hiccup, an injected fault) is worth re-running; one that throws a
- * ConfigError or LogicError is not — the input or the library is wrong
- * and every attempt will fail the same way. classifyException() encodes
+ * A sweep job that throws a TransientError (an I/O hiccup, an injected
+ * fault) is worth re-running; one that throws a ConfigError or
+ * LogicError is not — the input or the library is wrong and every
+ * attempt will fail the same way. classifyException() encodes
  * that taxonomy, and retryCall() re-runs a callable under a bounded,
  * seeded-jitter exponential backoff schedule. The schedule is a pure
  * function of (policy, stream, attempt), so a sweep's retry behaviour
@@ -41,7 +41,7 @@ ErrorClass classifyException(const std::exception_ptr &ep);
 /** Stable (type tag, message) description of an in-flight exception. */
 struct ExceptionInfo
 {
-    std::string type;    ///< "ConfigError", "SolverConvergenceError", ...
+    std::string type;    ///< "ConfigError", "FaultInjected", ...
     std::string message; ///< what() text (empty for non-std exceptions)
 };
 

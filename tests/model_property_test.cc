@@ -113,12 +113,7 @@ TEST(ModelProperty, SolverOperatingPointSatisfiesInvariants)
         model::WorkloadParams p = genWorkloadParams(rng);
         model::Platform plat = genPlatform(rng);
         model::Solver solver;
-        model::OperatingPoint op;
-        try {
-            op = solver.solve(p, plat);
-        } catch (const model::SolverConvergenceError &) {
-            return; // quarantined in production; not this property
-        }
+        model::OperatingPoint op = solver.solve(p, plat);
         EXPECT_GE(op.cpiEff, p.cpiCache);
         EXPECT_GE(op.utilization, 0.0);
         EXPECT_LE(op.utilization, 1.0);
@@ -147,13 +142,8 @@ TEST(ModelProperty, SolverFixedPointStableUnderUlpPerturbation)
         plat2.memory.compulsoryNs = std::nextafter(
             plat.memory.compulsoryNs, rng.chance(0.5) ? 0.0 : 1000.0);
 
-        model::OperatingPoint base, perturbed;
-        try {
-            base = solver.solve(p, plat);
-            perturbed = solver.solve(p2, plat2);
-        } catch (const model::SolverConvergenceError &) {
-            return;
-        }
+        const model::OperatingPoint base = solver.solve(p, plat);
+        const model::OperatingPoint perturbed = solver.solve(p2, plat2);
         const double rel =
             std::fabs(perturbed.cpiEff - base.cpiEff) / base.cpiEff;
         EXPECT_LT(rel, 1e-5)

@@ -165,14 +165,6 @@ TEST(Solver, IpsScalesWithCpi)
     EXPECT_DOUBLE_EQ(op.ipsPerCore(2.7e9), 1.35e9);
 }
 
-TEST(Solver, CustomOptionsValidated)
-{
-    SolverOptions opts;
-    opts.maxIterations = 0;
-    EXPECT_THROW(Solver(QueuingModel::analyticDefault(), opts),
-                 ConfigError);
-}
-
 TEST(Solver, MeasuredQueuingModelAccepted)
 {
     stats::PiecewiseCurve curve({{0.0, 0.0}, {0.95, 200.0}});

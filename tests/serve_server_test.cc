@@ -19,8 +19,12 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
 #include <atomic>
 #include <chrono>
+#include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -123,6 +127,66 @@ TEST_F(ServeServerTest, StartStopWithoutTrafficIsClean)
     const ServerStats stats = ts.server->stats();
     EXPECT_EQ(stats.accepted, 0u);
     EXPECT_TRUE(stats.consistent());
+}
+
+/** This process's virtual memory size in KiB (VmSize), or -1. */
+long
+vmSizeKb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string key;
+    while (status >> key) {
+        if (key == "VmSize:") {
+            long kb = -1;
+            status >> kb;
+            return kb;
+        }
+        status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+    }
+    return -1;
+}
+
+/** The stack a default thread maps, in KiB. */
+long
+threadStackKb()
+{
+    pthread_attr_t attr;
+    std::size_t bytes = 0;
+    pthread_attr_init(&attr);
+    pthread_attr_getstacksize(&attr, &bytes);
+    pthread_attr_destroy(&attr);
+    return static_cast<long>(bytes / 1024);
+}
+
+TEST_F(ServeServerTest, ClosedConnectionsDoNotKeepTheirReaderThreads)
+{
+    TestServer ts(testOptions());
+    auto round_trip = [&](int i) {
+        InProcessClient client = ts.transport->connect();
+        client.send(coldRequest(("c" + std::to_string(i)).c_str(),
+                                20.0 + i));
+        EXPECT_NE(mustRecv(client).find("\"ok\":true"), std::string::npos);
+        client.closeSend();
+        EXPECT_TRUE(spinUntil(
+            [&] { return ts.server->activeConnectionCount() == 0; }));
+    };
+    round_trip(0);
+    const long start_kb = vmSizeKb();
+    if (start_kb < 0)
+        GTEST_SKIP() << "no VmSize in /proc/self/status";
+    for (int i = 1; i <= 64; ++i)
+        round_trip(i);
+    const long grown_kb = vmSizeKb() - start_kb;
+    // Each ended connection's reader is joined when the accept loop
+    // next wakes, so at most a few stacks can be outstanding here; 64
+    // unjoined readers would keep 64 stacks mapped.
+    EXPECT_LT(grown_kb, 8 * threadStackKb())
+        << "VmSize grew " << grown_kb << " KiB over 64 connections";
+    ts.server->stop();
+    const ServerStats stats = ts.server->stats();
+    EXPECT_EQ(stats.connections, 65u);
+    EXPECT_EQ(stats.repliesOk, 65u);
+    EXPECT_TRUE(stats.consistent()) << stats.describe();
 }
 
 TEST_F(ServeServerTest, EveryRequestGetsExactlyOneReply)
